@@ -10,7 +10,7 @@ build:
 	$(CARGO) build --release
 
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --workspace
 
 test-all:
 	$(CARGO) test -q --workspace --no-fail-fast

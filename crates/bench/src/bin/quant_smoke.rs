@@ -60,7 +60,10 @@ struct QuantReport {
     /// Forced-SIMD int8 embeddings bit-identical to scalar (must be
     /// `true`: integer accumulation is exact on every backend).
     simd_int8_bit_identical: Option<bool>,
-    /// Forced-SIMD vs scalar int8 embed speedup on this host.
+    /// Forced-SIMD-plan vs scalar int8 embed speedup on this host. The
+    /// int8 GEMM keeps an explicit SIMD instance only while this is at
+    /// least 1.05; with the portable kernel alone it measures noise
+    /// around 1.0.
     simd_int8_speedup: Option<f64>,
 }
 

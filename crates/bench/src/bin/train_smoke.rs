@@ -55,9 +55,6 @@ struct BenchReport {
     simd_speedup_vs_scalar: Option<f64>,
     /// f32 backend a fresh autotune sweep selected on this host.
     autotuned_backend: Option<String>,
-    /// int8 backend the same sweep selected (tuned independently — the
-    /// widening i8 multiply often favours a different instance).
-    autotuned_i8_backend: Option<String>,
 }
 
 struct Timings {
@@ -212,7 +209,6 @@ fn main() {
             simd_backend: Backend::detect_simd().map(|b| b.name().to_string()),
             simd_speedup_vs_scalar: None,
             autotuned_backend: None,
-            autotuned_i8_backend: None,
         },
     );
 
@@ -255,7 +251,6 @@ fn main() {
     let mut simd_backend = None;
     let mut simd_speedup = None;
     let mut autotuned_backend = None;
-    let mut autotuned_i8_backend = None;
     if let Some(simd) = Backend::detect_simd() {
         let (scalar_emb, scalar_times) =
             infer_run(&trained, &features, Exec::from_plan(plan.with_threads(1)));
@@ -287,15 +282,13 @@ fn main() {
         );
         let tuned = KernelPlan::autotune();
         println!(
-            "train_smoke: autotune selected f32 backend {} / i8 backend {} [{}]",
+            "train_smoke: autotune selected f32 backend {} [{}]",
             tuned.backend,
-            tuned.i8_backend,
             tuned.describe()
         );
         simd_backend = Some(simd.name().to_string());
         simd_speedup = Some(speedup);
         autotuned_backend = Some(tuned.backend.name().to_string());
-        autotuned_i8_backend = Some(tuned.i8_backend.name().to_string());
     } else {
         println!("train_smoke: no SIMD backend on this host; skipping backend comparison");
     }
@@ -314,7 +307,6 @@ fn main() {
             simd_backend,
             simd_speedup_vs_scalar: simd_speedup,
             autotuned_backend,
-            autotuned_i8_backend,
         },
     );
 

@@ -483,7 +483,6 @@ mod tests {
         let x = Matrix::from_vec(32, 8, data).unwrap();
         let plan = KernelPlan {
             par_min_rows: 8,
-            i8_tiled_min_rows: 8,
             ..KernelPlan::inline()
         };
         let mut ws = Workspace::with_exec(Exec::from_plan(plan));

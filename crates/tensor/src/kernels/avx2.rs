@@ -20,7 +20,6 @@ use std::arch::x86_64::*;
 
 use super::fma;
 use crate::matrix::TILE_ROWS;
-use crate::quant::QTILE_ROWS;
 
 /// f32 lanes per 256-bit vector.
 const VL: usize = 8;
@@ -201,74 +200,6 @@ pub(crate) unsafe fn tile_2x4(
     out
 }
 
-/// Widen 8 int8 weights at `p` to 8 lanes of i32.
-///
-/// # Safety
-/// Requires AVX2 at runtime; `p` must be valid for an 8-byte read.
-#[target_feature(enable = "avx2")]
-unsafe fn load8_i8_as_i32(p: *const i8) -> __m256i {
-    // SAFETY: caller guarantees 8 readable bytes at `p`; `loadl` reads
-    // exactly the low 64 bits.
-    let bytes = unsafe { _mm_loadl_epi64(p.cast()) };
-    _mm256_cvtepi8_epi32(bytes)
-}
-
-/// AVX2 instance of [`super::scalar::qtile`]: i8×i8→i32 for a 4-row ×
-/// `TC`-column tile. Integer accumulation is exactly associative, so
-/// this is bit-identical to the scalar kernel by construction.
-///
-/// Column strips are processed one vector (8 outputs) at a time with
-/// four row accumulators live — 4 × (`TC`/8) vector registers would
-/// spill at `TC = 32`, re-reading the L1-resident x rows per strip is
-/// cheaper.
-///
-/// # Safety
-/// Requires AVX2 at runtime. `TC` must be a multiple of 8,
-/// `j0 + TC <= n`, and the slices must cover a full `4 × k` (resp.
-/// `k × n`) block starting at `i0` (resp. row 0).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn qtile<const TC: usize>(
-    x_q: &[i8],
-    k: usize,
-    w: &[i8],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    acc: &mut [[i32; TC]; QTILE_ROWS],
-) {
-    debug_assert!(TC.is_multiple_of(VL));
-    debug_assert!(j0 + TC <= n && w.len() >= k * n && x_q.len() >= (i0 + QTILE_ROWS) * k);
-    let x0 = &x_q[i0 * k..(i0 + 1) * k];
-    let x1 = &x_q[(i0 + 1) * k..(i0 + 2) * k];
-    let x2 = &x_q[(i0 + 2) * k..(i0 + 3) * k];
-    let x3 = &x_q[(i0 + 3) * k..(i0 + 4) * k];
-    for v in 0..TC / VL {
-        let mut vacc = [_mm256_setzero_si256(); QTILE_ROWS];
-        for kk in 0..k {
-            let xv0 = i32::from(x0[kk]);
-            let xv1 = i32::from(x1[kk]);
-            let xv2 = i32::from(x2[kk]);
-            let xv3 = i32::from(x3[kk]);
-            if (xv0 | xv1 | xv2 | xv3) == 0 {
-                // Same post-ReLU zero skip as scalar: adding exact
-                // integer zeros is a no-op either way.
-                continue;
-            }
-            // SAFETY: `kk * n + j0 + v * VL + VL <= kk * n + n <= k * n`,
-            // so 8 bytes are readable.
-            let wv = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * VL)) };
-            vacc[0] = _mm256_add_epi32(vacc[0], _mm256_mullo_epi32(_mm256_set1_epi32(xv0), wv));
-            vacc[1] = _mm256_add_epi32(vacc[1], _mm256_mullo_epi32(_mm256_set1_epi32(xv1), wv));
-            vacc[2] = _mm256_add_epi32(vacc[2], _mm256_mullo_epi32(_mm256_set1_epi32(xv2), wv));
-            vacc[3] = _mm256_add_epi32(vacc[3], _mm256_mullo_epi32(_mm256_set1_epi32(xv3), wv));
-        }
-        for (row, vr) in acc.iter_mut().zip(vacc.iter()) {
-            // SAFETY: `v * VL + VL <= TC`, in bounds of the `[i32; TC]` row.
-            unsafe { _mm256_storeu_si256(row.as_mut_ptr().add(v * VL).cast(), *vr) };
-        }
-    }
-}
-
 /// Sum the 8 i32 lanes of `v` (exact: integer addition is associative).
 ///
 /// # Safety
@@ -298,10 +229,9 @@ unsafe fn load16_i8_as_i16(p: *const i8) -> __m256i {
 /// AVX2 instance of [`super::scalar::qdot`]: widen both rows to i16 and
 /// multiply-accumulate pairs with `madd_epi16` (products of two i8
 /// values fit i16×i16→i32 exactly; a pair sum is ≤ 2·127², far from
-/// overflow), 16 elements per step with a scalar tail. Unlike the
-/// broadcast int8 GEMM kernels — where `mullo_epi32` lost to
-/// auto-vectorised scalar on the autotune host — this row-vs-row shape
-/// maps directly onto the i16 MAC unit. Bit-identical to scalar (exact
+/// overflow), 16 elements per step with a scalar tail. This row-vs-row
+/// shape maps directly onto the i16 MAC unit, which the int8 GEMM's
+/// broadcast-pair stream does not. Bit-identical to scalar (exact
 /// integer accumulation).
 ///
 /// # Safety
@@ -373,48 +303,3 @@ pub(crate) unsafe fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8])
     out
 }
 
-/// AVX2 instance of [`super::scalar::qrow`]: one int8 row over a
-/// `jw`-wide strip, vectorised in 8-output chunks with a scalar tail
-/// for ragged strip widths. Bit-identical to scalar (exact integers).
-///
-/// # Safety
-/// Requires AVX2 at runtime. `j0 + jw <= n` and `w` must cover
-/// `x_row.len() × n`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn qrow<const TC: usize>(
-    x_row: &[i8],
-    w: &[i8],
-    n: usize,
-    j0: usize,
-    jw: usize,
-    acc: &mut [i32; TC],
-) {
-    debug_assert!(jw <= TC && j0 + jw <= n && w.len() >= x_row.len() * n);
-    *acc = [0; TC];
-    let vw = jw / VL;
-    for v in 0..vw {
-        let mut vacc = _mm256_setzero_si256();
-        for (kk, &xq) in x_row.iter().enumerate() {
-            let xv = i32::from(xq);
-            if xv == 0 {
-                continue;
-            }
-            // SAFETY: `kk * n + j0 + v * VL + VL <= (kk + 1) * n <= w.len()`.
-            let wv = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * VL)) };
-            vacc = _mm256_add_epi32(vacc, _mm256_mullo_epi32(_mm256_set1_epi32(xv), wv));
-        }
-        // SAFETY: `v * VL + VL <= jw <= TC`, in bounds of `acc`.
-        unsafe { _mm256_storeu_si256(acc.as_mut_ptr().add(v * VL).cast(), vacc) };
-    }
-    // Ragged tail of the strip (jw % 8 columns), scalar.
-    for (kk, &xq) in x_row.iter().enumerate() {
-        let xv = i32::from(xq);
-        if xv == 0 {
-            continue;
-        }
-        let w_row = &w[kk * n + j0 + vw * VL..kk * n + j0 + jw];
-        for (t, &wq) in w_row.iter().enumerate() {
-            acc[vw * VL + t] += xv * i32::from(wq);
-        }
-    }
-}

@@ -10,6 +10,11 @@
 //! compute pool — so the three [`TilingScheme`](crate::tiling::TilingScheme)
 //! levels map onto three layers of code.
 //!
+//! The int8 GEMM is the exception: its row-streaming kernel
+//! ([`scalar::qstream`]) has no tile to dispatch and no SIMD instance
+//! (see its docs for why), so [`crate::quant`] calls it directly. The
+//! int8 distance kernels (`qdot`, `qdot4`) do dispatch.
+//!
 //! Stage buffers are thread-locals ping-ponged between consecutive
 //! k-panels (double buffering: the pack of panel `p` writes the buffer
 //! panel `p - 2` vacated, never the one panel `p - 1`'s tiles may still
@@ -26,7 +31,6 @@
 use std::cell::RefCell;
 
 use crate::matrix::TILE_ROWS;
-use crate::quant::QTILE_ROWS;
 use crate::tiling::Backend;
 
 pub(crate) mod scalar;
@@ -167,63 +171,6 @@ fn tile_2x4_dispatch(
         Backend::Neon => neon::tile_2x4(a0, a1, b0, b1, b2, b3),
         #[allow(unreachable_patterns)]
         _ => scalar::tile_2x4(a0, a1, b0, b1, b2, b3),
-    }
-}
-
-/// Dispatch of the 4-row int8 tile. Bit-identical across backends
-/// (exact integer accumulation), so this needs no accuracy gate.
-#[inline]
-#[allow(clippy::too_many_arguments)] // tile geometry is inherently wide
-pub(crate) fn qtile_dispatch<const TC: usize>(
-    backend: Backend,
-    x_q: &[i8],
-    k: usize,
-    w: &[i8],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    acc: &mut [[i32; TC]; QTILE_ROWS],
-) {
-    match backend {
-        Backend::Scalar => scalar::qtile::<TC>(x_q, k, w, n, i0, j0, acc),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            debug_check_available(backend);
-            // SAFETY: sanitized plans guarantee AVX2 at runtime.
-            unsafe { avx2::qtile::<TC>(x_q, k, w, n, i0, j0, acc) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::qtile::<TC>(x_q, k, w, n, i0, j0, acc),
-        #[allow(unreachable_patterns)]
-        _ => scalar::qtile::<TC>(x_q, k, w, n, i0, j0, acc),
-    }
-}
-
-/// Dispatch of the single-row int8 strip kernel. Bit-identical across
-/// backends (exact integer accumulation).
-#[inline]
-#[allow(clippy::too_many_arguments)] // tile geometry is inherently wide
-pub(crate) fn qrow_dispatch<const TC: usize>(
-    backend: Backend,
-    x_row: &[i8],
-    w: &[i8],
-    n: usize,
-    j0: usize,
-    jw: usize,
-    acc: &mut [i32; TC],
-) {
-    match backend {
-        Backend::Scalar => scalar::qrow::<TC>(x_row, w, n, j0, jw, acc),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            debug_check_available(backend);
-            // SAFETY: sanitized plans guarantee AVX2 at runtime.
-            unsafe { avx2::qrow::<TC>(x_row, w, n, j0, jw, acc) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::qrow::<TC>(x_row, w, n, j0, jw, acc),
-        #[allow(unreachable_patterns)]
-        _ => scalar::qrow::<TC>(x_row, w, n, j0, jw, acc),
     }
 }
 

@@ -18,7 +18,6 @@ use std::arch::aarch64::*;
 
 use super::fma;
 use crate::matrix::TILE_ROWS;
-use crate::quant::QTILE_ROWS;
 
 /// f32 lanes per 128-bit vector.
 const VL: usize = 4;
@@ -172,79 +171,6 @@ pub(crate) fn tile_2x4(
     out
 }
 
-/// Widen 8 int8 weights at `p` to two i32 vectors (low 4, high 4).
-///
-/// # Safety
-/// `p` must be valid for an 8-byte read.
-unsafe fn load8_i8_as_i32(p: *const i8) -> (int32x4_t, int32x4_t) {
-    // SAFETY: caller guarantees 8 readable bytes at `p`; `vld1_s8` reads
-    // exactly 8.
-    let w8 = unsafe { vld1_s8(p) };
-    let w16 = unsafe { vmovl_s8(w8) };
-    // SAFETY: pure register ops.
-    unsafe {
-        (
-            vmovl_s16(vget_low_s16(w16)),
-            vmovl_s16(vget_high_s16(w16)),
-        )
-    }
-}
-
-/// NEON instance of [`super::scalar::qtile`]: i8×i8→i32 for a 4-row ×
-/// `TC`-column tile. Bit-identical to scalar (exact integers).
-pub(crate) fn qtile<const TC: usize>(
-    x_q: &[i8],
-    k: usize,
-    w: &[i8],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    acc: &mut [[i32; TC]; QTILE_ROWS],
-) {
-    debug_assert!(TC % 8 == 0);
-    debug_assert!(j0 + TC <= n && w.len() >= k * n && x_q.len() >= (i0 + QTILE_ROWS) * k);
-    let xs = [
-        &x_q[i0 * k..(i0 + 1) * k],
-        &x_q[(i0 + 1) * k..(i0 + 2) * k],
-        &x_q[(i0 + 2) * k..(i0 + 3) * k],
-        &x_q[(i0 + 3) * k..(i0 + 4) * k],
-    ];
-    for v in 0..TC / 8 {
-        // SAFETY: pure register ops, no memory access.
-        let mut lo = [unsafe { vdupq_n_s32(0) }; QTILE_ROWS];
-        let mut hi = [unsafe { vdupq_n_s32(0) }; QTILE_ROWS];
-        for kk in 0..k {
-            let xv = [
-                i32::from(xs[0][kk]),
-                i32::from(xs[1][kk]),
-                i32::from(xs[2][kk]),
-                i32::from(xs[3][kk]),
-            ];
-            if (xv[0] | xv[1] | xv[2] | xv[3]) == 0 {
-                // Same post-ReLU zero skip as scalar: integer adds of
-                // zero are exact no-ops.
-                continue;
-            }
-            // SAFETY: `kk * n + j0 + v * 8 + 8 <= (kk + 1) * n <= k * n`.
-            let (wlo, whi) = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * 8)) };
-            for r in 0..QTILE_ROWS {
-                // SAFETY: pure register ops, no memory access.
-                unsafe {
-                    lo[r] = vmlaq_n_s32(lo[r], wlo, xv[r]);
-                    hi[r] = vmlaq_n_s32(hi[r], whi, xv[r]);
-                }
-            }
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            // SAFETY: `v * 8 + 8 <= TC`, in bounds of the `[i32; TC]` row.
-            unsafe {
-                vst1q_s32(row.as_mut_ptr().add(v * 8), lo[r]);
-                vst1q_s32(row.as_mut_ptr().add(v * 8 + VL), hi[r]);
-            }
-        }
-    }
-}
-
 /// Sum the 4 i32 lanes of `v` (exact: integer addition is associative).
 fn hsum_i32(v: int32x4_t) -> i32 {
     let mut lanes = [0i32; VL];
@@ -320,54 +246,4 @@ pub(crate) fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8]) -> [i3
         out[3] += qv * i32::from(r3[t]);
     }
     out
-}
-
-/// NEON instance of [`super::scalar::qrow`]: one int8 row over a
-/// `jw`-wide strip, 8-output chunks plus a scalar tail for ragged
-/// widths. Bit-identical to scalar (exact integers).
-pub(crate) fn qrow<const TC: usize>(
-    x_row: &[i8],
-    w: &[i8],
-    n: usize,
-    j0: usize,
-    jw: usize,
-    acc: &mut [i32; TC],
-) {
-    debug_assert!(jw <= TC && j0 + jw <= n && w.len() >= x_row.len() * n);
-    *acc = [0; TC];
-    let vw = jw / 8;
-    for v in 0..vw {
-        // SAFETY: pure register ops, no memory access.
-        let mut lo = unsafe { vdupq_n_s32(0) };
-        let mut hi = unsafe { vdupq_n_s32(0) };
-        for (kk, &xq) in x_row.iter().enumerate() {
-            let xv = i32::from(xq);
-            if xv == 0 {
-                continue;
-            }
-            // SAFETY: `kk * n + j0 + v * 8 + 8 <= (kk + 1) * n <= w.len()`.
-            let (wlo, whi) = unsafe { load8_i8_as_i32(w.as_ptr().add(kk * n + j0 + v * 8)) };
-            // SAFETY: pure register ops, no memory access.
-            unsafe {
-                lo = vmlaq_n_s32(lo, wlo, xv);
-                hi = vmlaq_n_s32(hi, whi, xv);
-            }
-        }
-        // SAFETY: `v * 8 + 8 <= jw <= TC`, in bounds of `acc`.
-        unsafe {
-            vst1q_s32(acc.as_mut_ptr().add(v * 8), lo);
-            vst1q_s32(acc.as_mut_ptr().add(v * 8 + VL), hi);
-        }
-    }
-    // Ragged tail of the strip (jw % 8 columns), scalar.
-    for (kk, &xq) in x_row.iter().enumerate() {
-        let xv = i32::from(xq);
-        if xv == 0 {
-            continue;
-        }
-        let w_row = &w[kk * n + j0 + vw * 8..kk * n + j0 + jw];
-        for (t, &wq) in w_row.iter().enumerate() {
-            acc[vw * 8 + t] += xv * i32::from(wq);
-        }
-    }
 }

@@ -17,7 +17,6 @@
 
 use super::fma;
 use crate::matrix::TILE_ROWS;
-use crate::quant::QTILE_ROWS;
 
 /// Accumulator lanes for the dot-product kernels — wide enough for one
 /// 256-bit vector register of `f32`.
@@ -163,40 +162,44 @@ pub(crate) fn tile_2x4(
     out
 }
 
-/// i32 accumulators for a 4-row × `TC`-column int8 tile.
-pub(crate) fn qtile<const TC: usize>(
-    x_q: &[i8],
-    k: usize,
-    w: &[i8],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    acc: &mut [[i32; TC]; QTILE_ROWS],
-) {
-    for a in acc.iter_mut() {
-        *a = [0; TC];
-    }
-    let x0 = &x_q[i0 * k..(i0 + 1) * k];
-    let x1 = &x_q[(i0 + 1) * k..(i0 + 2) * k];
-    let x2 = &x_q[(i0 + 2) * k..(i0 + 3) * k];
-    let x3 = &x_q[(i0 + 3) * k..(i0 + 4) * k];
-    for kk in 0..k {
-        let xv0 = i32::from(x0[kk]);
-        let xv1 = i32::from(x1[kk]);
-        let xv2 = i32::from(x2[kk]);
-        let xv3 = i32::from(x3[kk]);
-        if (xv0 | xv1 | xv2 | xv3) == 0 {
-            // All four rows hit a post-ReLU zero; integer adds of zero
-            // are exact no-ops, so skipping cannot change results.
+/// i32 accumulators for one int8 row against all of `w` (row-major
+/// `k × n`): the row-streaming int8 GEMM kernel.
+///
+/// k-outer, n-inner into the `n`-wide accumulator row, two k-rows of
+/// `w` per step, so `w` is read front to back exactly once per row and
+/// every load is unit-stride. A step is skipped when both activations
+/// of the pair are zero (post-ReLU rows are ~50% zeros; adding exact
+/// integer zeros is a no-op, so the skip cannot change results).
+///
+/// A pair's two products are summed in i16 before widening: activations
+/// are quantised to `[-127, 127]` and weights are any `i8`, so
+/// `|x0·w0 + x1·w1| ≤ 2·127·128 = 32512` fits exactly. The compiler
+/// vectorises the i16 multiply under `-C target-cpu=native`. An explicit
+/// AVX2 instance (bytewise interleave of the two k-rows, `cvtepi8_epi16`,
+/// `madd_epi16`) ran at 0.67–0.85× this loop on an AVX-512 Xeon and was
+/// not kept.
+pub(crate) fn qstream(x_row: &[i8], w: &[i8], n: usize, acc: &mut [i32]) {
+    debug_assert!(acc.len() == n && w.len() >= x_row.len() * n);
+    acc.fill(0);
+    let mut x_pairs = x_row.chunks_exact(2);
+    for (xp, wp) in x_pairs.by_ref().zip(w.chunks_exact(2 * n)) {
+        let (x0, x1) = (i16::from(xp[0]), i16::from(xp[1]));
+        if (x0 | x1) == 0 {
             continue;
         }
-        let w_row = &w[kk * n + j0..kk * n + j0 + TC];
-        for (t, &wq) in w_row.iter().enumerate() {
-            let wv = i32::from(wq);
-            acc[0][t] += xv0 * wv;
-            acc[1][t] += xv1 * wv;
-            acc[2][t] += xv2 * wv;
-            acc[3][t] += xv3 * wv;
+        let (w0, w1) = wp.split_at(n);
+        for ((a, &b0), &b1) in acc.iter_mut().zip(w0).zip(w1) {
+            *a += i32::from(x0 * i16::from(b0) + x1 * i16::from(b1));
+        }
+    }
+    // Odd `k`: the last k-row streams alone.
+    if let [x] = *x_pairs.remainder() {
+        let x = i16::from(x);
+        if x != 0 {
+            let last = x_row.len() - 1;
+            for (a, &b) in acc.iter_mut().zip(&w[last * n..(last + 1) * n]) {
+                *a += i32::from(x * i16::from(b));
+            }
         }
     }
 }
@@ -217,26 +220,4 @@ pub(crate) fn qdot(a: &[i8], b: &[i8]) -> i32 {
 /// the four rows; here it is just four calls).
 pub(crate) fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8]) -> [i32; 4] {
     [qdot(q, r0), qdot(q, r1), qdot(q, r2), qdot(q, r3)]
-}
-
-/// i32 accumulators for one int8 row over a `jw`-wide column strip.
-pub(crate) fn qrow<const TC: usize>(
-    x_row: &[i8],
-    w: &[i8],
-    n: usize,
-    j0: usize,
-    jw: usize,
-    acc: &mut [i32; TC],
-) {
-    *acc = [0; TC];
-    for (kk, &xq) in x_row.iter().enumerate() {
-        let xv = i32::from(xq);
-        if xv == 0 {
-            continue;
-        }
-        let w_row = &w[kk * n + j0..kk * n + j0 + jw];
-        for (t, &wq) in w_row.iter().enumerate() {
-            acc[t] += xv * i32::from(wq);
-        }
-    }
 }

@@ -23,11 +23,17 @@
 //! count (see `DESIGN.md` §11 for the argument), so caching or retuning
 //! a plan can never change what a model computes — only how fast.
 //!
+//! Every tile, stage and backend field steers the f32 family. The int8
+//! GEMM ([`crate::quant`]) streams rows through one portable kernel and
+//! reads only `threads` and `par_min_rows`.
+//!
 //! Privacy note (paper Definition 1): a plan describes the *device*, not
 //! the user — thread count and cache-friendly tile sizes. It is written
 //! only to device-local storage and never leaves the Edge.
 
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -41,9 +47,13 @@ use crate::Result;
 /// Format version stamped into serialized plans; bump on layout change
 /// so stale cached plans fall back to defaults instead of misdispatching.
 /// v3 added the micro-kernel [`Backend`] choice; v2 added the int8
-/// kernel constants (`i8_tile_cols`, `i8_tiled_min_rows`). Plans cached
-/// on disk by any previous version are rejected and the runtime falls
-/// back to [`KernelPlan::host_default`].
+/// kernel constants. Plans cached on disk by any previous version are
+/// rejected and the runtime falls back to [`KernelPlan::host_default`].
+///
+/// Removing a field needs no bump: unknown fields are ignored on load,
+/// so a v3 plan that still carries the retired int8 fields
+/// (`i8_tile_cols`, `i8_tiled_min_rows`, `i8_backend`) loads with every
+/// remaining field intact.
 pub const PLAN_VERSION: u32 = 3;
 
 /// Hard cap on pool threads a plan may request.
@@ -51,8 +61,8 @@ pub const MAX_THREADS: usize = 16;
 
 /// Launch configuration for every GEMM in the crate.
 ///
-/// `Copy` on purpose: a plan is six small integers, cloned freely into
-/// closures and across threads.
+/// `Copy` on purpose: a plan is a few small integers and a backend tag,
+/// cloned freely into closures and across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelPlan {
     /// Format version ([`PLAN_VERSION`]) for cached plans.
@@ -71,12 +81,6 @@ pub struct KernelPlan {
     /// Minimum output rows before a GEMM is split across pool threads;
     /// below this the dispatch overhead outweighs the parallelism.
     pub par_min_rows: usize,
-    /// Register-tile width of the int8 GEMM kernel (16 or 32 output
-    /// columns per strip).
-    pub i8_tile_cols: usize,
-    /// Minimum batch rows before the int8 matmul leaves the single-row
-    /// kernel for the register-tiled one.
-    pub i8_tiled_min_rows: usize,
     /// Micro-kernel instance executing the f32 register tiles. Defaults
     /// to [`Backend::Scalar`] (the bit-identity reference) when absent
     /// from a serialized plan; only [`KernelPlan::autotune`] or an
@@ -85,15 +89,6 @@ pub struct KernelPlan {
     /// run back to scalar.
     #[serde(default)]
     pub backend: Backend,
-    /// Micro-kernel instance executing the int8 GEMM tiles, tuned
-    /// independently of `backend`: the widening i8→i32 multiply has a
-    /// very different instruction profile from the f32 FMA, so the
-    /// fastest instance for one family routinely loses for the other
-    /// (on AVX2 the `mullo_epi32` chain can trail an auto-vectorised
-    /// scalar build). Same defaulting and sanitization rules as
-    /// `backend`.
-    #[serde(default)]
-    pub i8_backend: Backend,
 }
 
 impl Default for KernelPlan {
@@ -115,10 +110,7 @@ impl KernelPlan {
             tiled_min_rows: 16,
             panel_k: 256,
             par_min_rows: 32,
-            i8_tile_cols: 32,
-            i8_tiled_min_rows: 16,
             backend: Backend::Scalar,
-            i8_backend: Backend::Scalar,
         }
     }
 
@@ -141,22 +133,19 @@ impl KernelPlan {
         }
     }
 
-    /// The same plan with *both* micro-kernel backends (`backend` and
-    /// `i8_backend`) replaced, degraded to [`Backend::Scalar`] when the
-    /// host cannot run the requested one — used by the smoke benchmarks
-    /// to force the SIMD/scalar comparison and by applications honouring
-    /// a user override.
+    /// The same plan with the f32 micro-kernel `backend` replaced,
+    /// degraded to [`Backend::Scalar`] when the host cannot run the
+    /// requested one — used by the smoke benchmarks to force the
+    /// SIMD/scalar comparison and by applications honouring a user
+    /// override. The int8 GEMM has a single portable kernel and ignores
+    /// the backend.
     pub fn with_backend(self, backend: Backend) -> Self {
         let backend = if backend.is_available() {
             backend
         } else {
             Backend::Scalar
         };
-        KernelPlan {
-            backend,
-            i8_backend: backend,
-            ..self
-        }
+        KernelPlan { backend, ..self }
     }
 
     /// Clamp every field into the range the kernels support. Applied to
@@ -172,18 +161,11 @@ impl KernelPlan {
             tiled_min_rows: self.tiled_min_rows.clamp(4, 4096),
             panel_k: self.panel_k.clamp(32, 8192),
             par_min_rows: self.par_min_rows.clamp(8, 1 << 20),
-            i8_tile_cols: if self.i8_tile_cols <= 16 { 16 } else { 32 },
-            i8_tiled_min_rows: self.i8_tiled_min_rows.clamp(4, 4096),
             // A cached plan may name a backend this host lacks (bundle
             // copied between devices, CPU migration): degrade to the
             // always-available scalar instance instead of faulting.
             backend: if self.backend.is_available() {
                 self.backend
-            } else {
-                Backend::Scalar
-            },
-            i8_backend: if self.i8_backend.is_available() {
-                self.i8_backend
             } else {
                 Backend::Scalar
             },
@@ -193,16 +175,13 @@ impl KernelPlan {
     /// One-line human-readable summary for startup banners.
     pub fn describe(&self) -> String {
         format!(
-            "backend={} threads={} tile=4x{} panel_k={} tiled_min_rows={} par_min_rows={} i8_backend={} i8_tile=4x{} i8_tiled_min_rows={}",
+            "backend={} threads={} tile=4x{} panel_k={} tiled_min_rows={} par_min_rows={}",
             self.backend,
             self.threads,
             self.tile_cols,
             self.panel_k,
             self.tiled_min_rows,
             self.par_min_rows,
-            self.i8_backend,
-            self.i8_tile_cols,
-            self.i8_tiled_min_rows
         )
     }
 
@@ -230,15 +209,35 @@ impl KernelPlan {
         Ok(plan.sanitized())
     }
 
-    /// Write the plan to `path` atomically (temp file + rename), so a
-    /// crash mid-write leaves either the old plan or none at all.
+    /// Write the plan to `path` atomically, so a crash mid-write leaves
+    /// either the old plan or the new one, never a torn file.
+    ///
+    /// The JSON goes to a temp sibling unique to this save
+    /// (`<name>.tmp.<pid>.<seq>`), is fsynced, and is then renamed over
+    /// `path`; the directory is fsynced last so the rename survives power
+    /// loss. Two concurrent saves therefore never share a scratch file,
+    /// and the rename never publishes bytes that are not yet durable.
     ///
     /// # Errors
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors; the temp file is removed on failure.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        let tmp = unique_tmp_path(path);
+        let written = std::fs::File::create(&tmp).and_then(|mut f| {
+            f.write_all(self.to_json().as_bytes())?;
+            f.sync_all()?;
+            std::fs::rename(&tmp, path)
+        });
+        if written.is_err() {
+            std::fs::remove_file(&tmp).ok();
+            return written;
+        }
+        // A directory opens read-only for fsync on Unix; where it cannot
+        // be opened at all, rename durability is best-effort.
+        match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            Some(dir) => std::fs::File::open(dir),
+            None => std::fs::File::open("."),
+        }
+        .map_or(Ok(()), |d| d.sync_all())
     }
 
     /// Load a plan from `path`.
@@ -274,6 +273,22 @@ impl KernelPlan {
     pub fn autotune() -> Self {
         autotune_impl(AUTOTUNE_REPS)
     }
+}
+
+/// Monotonic counter distinguishing concurrent plan saves within one
+/// process.
+static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A temp sibling of `path` unique to this (process, save) pair, with
+/// `.tmp.<pid>.<seq>` appended to the full file name.
+fn unique_tmp_path(path: &Path) -> PathBuf {
+    let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut name = path
+        .file_name()
+        .unwrap_or_else(|| std::ffi::OsStr::new("plan"))
+        .to_os_string();
+    name.push(format!(".tmp.{}.{seq}", std::process::id()));
+    path.with_file_name(name)
 }
 
 /// Available cores, capped at [`MAX_THREADS`]; `1` when the count is
@@ -345,52 +360,6 @@ fn autotune_impl(reps: usize) -> KernelPlan {
         _ => (scalar_best.tile_cols, scalar_best.panel_k, Backend::Scalar),
     };
 
-    // Stage 1b: int8 backend × tile shape, single-threaded. The i8
-    // kernel gets its own backend decision as well as its own
-    // register-tile width: the widening i8→i32 multiply has a different
-    // instruction profile from the f32 FMA, and the fastest instance
-    // for one family routinely loses for the other. Best configuration
-    // is kept per backend, then compared with the same SIMD-preference
-    // hysteresis as the f32 stage.
-    let w_q = crate::quant::QuantMatrix::quantize(&b).expect("tune weights quantize");
-    let mut scratch = crate::quant::QuantScratch::default();
-    let mut i8_per_backend: Vec<(f64, KernelPlan)> = Vec::new();
-    for i8_backend in Backend::candidates() {
-        let mut best = (f64::INFINITY, KernelPlan::inline());
-        for &i8_tile_cols in &[16usize, 32] {
-            let plan = KernelPlan {
-                i8_backend,
-                i8_tile_cols,
-                // Force the tiled kernel so the tile shape is what's timed.
-                i8_tiled_min_rows: 4,
-                ..KernelPlan::inline()
-            };
-            let exec = Exec::from_plan(plan);
-            let t = bench(reps, || {
-                w_q.matmul_bias_act_into_exec(
-                    &a,
-                    &[0.0; TUNE_N],
-                    |v| v,
-                    &mut out,
-                    &mut scratch,
-                    &exec,
-                )
-                .expect("tune shapes agree");
-            });
-            if t < best.0 {
-                best = (t, plan);
-            }
-        }
-        i8_per_backend.push(best);
-    }
-    let (i8_t_scalar, i8_scalar_best) = i8_per_backend[0];
-    let (i8_tile_cols, i8_backend) = match i8_per_backend.get(1) {
-        Some(&(t_simd, simd_best)) if t_simd <= i8_t_scalar * 1.05 => {
-            (simd_best.i8_tile_cols, simd_best.i8_backend)
-        }
-        _ => (i8_scalar_best.i8_tile_cols, Backend::Scalar),
-    };
-
     // Stage 2: axpy↔tiled crossover. Time both kernels at candidate batch
     // sizes and set the threshold to the smallest batch where the tiled
     // kernel wins (post-ReLU sparsity favours axpy's zero-skip below it).
@@ -429,8 +398,6 @@ fn autotune_impl(reps: usize) -> KernelPlan {
         tile_cols,
         panel_k,
         tiled_min_rows,
-        i8_backend,
-        i8_tile_cols,
         ..KernelPlan::inline()
     }
     .sanitized();
@@ -522,10 +489,7 @@ mod tests {
             tiled_min_rows: 0,
             panel_k: 1,
             par_min_rows: 0,
-            i8_tile_cols: 999,
-            i8_tiled_min_rows: 0,
             backend: Backend::Neon,
-            i8_backend: Backend::Avx2,
         }
         .sanitized();
         assert_eq!(p.version, PLAN_VERSION);
@@ -534,12 +498,9 @@ mod tests {
         assert!(p.tiled_min_rows >= 4);
         assert!(p.panel_k >= 32);
         assert!(p.par_min_rows >= 8);
-        assert_eq!(p.i8_tile_cols, 32);
-        assert!(p.i8_tiled_min_rows >= 4);
         // An unavailable backend degrades to scalar; an available one
         // survives. Either way the sanitized plan can always dispatch.
         assert!(p.backend.is_available());
-        assert!(p.i8_backend.is_available());
     }
 
     #[test]
@@ -547,7 +508,6 @@ mod tests {
         for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
             let p = KernelPlan::inline().with_backend(b);
             assert!(p.backend.is_available());
-            assert_eq!(p.i8_backend, p.backend, "with_backend forces both families");
             if b.is_available() {
                 assert_eq!(p.backend, b);
             } else {
@@ -601,7 +561,93 @@ mod tests {
         );
         let plan = KernelPlan::from_json(&json).unwrap();
         assert_eq!(plan.backend, Backend::Scalar);
-        assert_eq!(plan.i8_backend, Backend::Scalar);
+    }
+
+    #[test]
+    fn v3_plan_with_retired_int8_fields_loads_intact() {
+        // A plan cached before the int8 GEMM lost its tile knobs and its
+        // backend. Unknown fields are ignored, so it must load as itself:
+        // same f32 backend, same scheduling values, no fallback to
+        // `host_default` and no version bump.
+        let backend = Backend::detect();
+        let json = format!(
+            r#"{{
+            "version": 3,
+            "threads": 3,
+            "tile_cols": 16,
+            "tiled_min_rows": 8,
+            "panel_k": 128,
+            "par_min_rows": 64,
+            "i8_tile_cols": 16,
+            "i8_tiled_min_rows": 8,
+            "backend": "{backend}",
+            "i8_backend": "{backend}"
+        }}"#
+        );
+        let expect = KernelPlan {
+            version: 3,
+            threads: 3,
+            tile_cols: 16,
+            tiled_min_rows: 8,
+            panel_k: 128,
+            par_min_rows: 64,
+            backend,
+        };
+        assert_eq!(KernelPlan::from_json(&json).unwrap(), expect);
+        let dir = std::env::temp_dir().join(format!("magneto_plan_v3_retired_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plan.json");
+        std::fs::write(&path, &json).unwrap();
+        assert_eq!(KernelPlan::load_or_default(&path), expect);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_saves_of_one_path_use_distinct_temp_files() {
+        let path = Path::new("/data/plan.json");
+        let (t1, t2) = (unique_tmp_path(path), unique_tmp_path(path));
+        assert_ne!(t1, t2, "two saves of the same path share a temp file");
+        let pid = std::process::id();
+        assert!(t1.to_string_lossy().starts_with(&format!("/data/plan.json.tmp.{pid}.")));
+    }
+
+    #[test]
+    fn concurrent_saves_always_leave_a_complete_plan() {
+        // Two writers race saves of different plans to one path while a
+        // reader loads it. Under the old shared `plan.tmp` scheme a load
+        // could see one writer's half-written file; with a unique temp
+        // file per save, every load is exactly one of the two plans.
+        let dir = std::env::temp_dir().join(format!("magneto_plan_race_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plan.json");
+        let a = KernelPlan::inline().with_threads(2);
+        let b = KernelPlan {
+            tile_cols: 16,
+            panel_k: 128,
+            ..KernelPlan::inline().with_threads(4)
+        };
+        a.save(&path).unwrap();
+        std::thread::scope(|s| {
+            for plan in [a, b] {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        plan.save(path).unwrap();
+                    }
+                });
+            }
+            for _ in 0..50 {
+                let loaded = KernelPlan::load(&path).expect("a complete plan is always on disk");
+                assert!(loaded == a || loaded == b, "hybrid plan {loaded:?}");
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "plan.json")
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -638,7 +684,7 @@ mod tests {
         assert!(d.contains("backend=scalar"));
         assert!(d.contains("threads=1"));
         assert!(d.contains("tile=4x32"));
-        assert!(d.contains("i8_backend=scalar"));
-        assert!(d.contains("i8_tile=4x32"));
+        // The int8 GEMM has no knobs left to describe.
+        assert!(!d.contains("i8_"), "{d}");
     }
 }

@@ -352,12 +352,6 @@ impl Exec {
         self.plan.backend
     }
 
-    /// The micro-kernel backend the int8 GEMM dispatches to, tuned
-    /// independently of [`Exec::backend`]; same availability guarantee.
-    pub fn i8_backend(&self) -> Backend {
-        self.plan.i8_backend
-    }
-
     /// Effective parallelism: plan threads, capped by the pool actually
     /// attached (1 when running inline).
     pub fn threads(&self) -> usize {

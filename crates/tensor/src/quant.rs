@@ -17,23 +17,27 @@
 //!   pool threads produces bit-identical accumulators;
 //! * a single f32 epilogue rescales per element:
 //!   `out[r, c] = act(acc as f32 * x_scale[r] * w_scale[c] + bias[c])`,
-//!   applied identically by the tiled and single-row kernels, which
-//!   makes the whole path bit-identical across pool sizes *and* kernel
-//!   choices (property-tested below, mirroring the f32 guarantees).
+//!   which makes the whole path bit-identical across pool sizes
+//!   (property-tested below, mirroring the f32 guarantees).
 //!
-//! Scheduling follows the f32 kernels: the [`crate::plan::KernelPlan`]
-//! carries an int8 register-tile width (`i8_tile_cols`) and a tiled
-//! dispatch threshold (`i8_tiled_min_rows`), the kernel choice is made
-//! from the *total* row count (never per panel), and panels are aligned
-//! to the 4-row tile height.
+//! There is one kernel for every batch size, the row-streaming
+//! [`crate::kernels::scalar::qstream`]: each activation row runs k-outer,
+//! n-inner into an `n`-wide i32 accumulator row, reading W front to back
+//! two k-rows at a time. An earlier design walked 16- or 32-column strips
+//! down all `k` rows of W with stride `n`, which at the backbone's
+//! 1024 × 512 layer re-walked about a thousand cache lines per 8-column
+//! vector. Streaming has no tile and therefore no tile knobs: the only
+//! [`crate::plan::KernelPlan`] field the int8 path reads is
+//! `par_min_rows`, and the pool splits rows with no alignment.
+
+use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
-use crate::kernels::{qrow_dispatch, qtile_dispatch};
+use crate::kernels::scalar::qstream;
 use crate::matrix::Matrix;
 use crate::pool::{Exec, SendPtr};
-use crate::tiling::Backend;
 use crate::Result;
 
 /// Numeric precision a model executes at.
@@ -81,10 +85,6 @@ impl std::fmt::Display for Precision {
         f.write_str(self.name())
     }
 }
-
-/// Row height of the int8 register tile (shared with the f32 kernels'
-/// panel alignment convention).
-pub(crate) const QTILE_ROWS: usize = 4;
 
 /// Largest inner dimension the i32 accumulator provably cannot overflow
 /// for: `k * 127 * 127 <= i32::MAX` holds comfortably below this.
@@ -217,8 +217,8 @@ impl QuantMatrix {
     /// Fused `out = act(x · W + bias)` executed on the int8 data.
     ///
     /// `x` is f32 and quantised per row into `scratch` before dispatch;
-    /// `out` receives f32. Bit-identical across pool sizes for a fixed
-    /// plan (integer accumulation + per-element epilogue).
+    /// `out` receives f32. Bit-identical across pool sizes and plans
+    /// (integer accumulation + per-element epilogue, one kernel).
     ///
     /// # Errors
     /// [`TensorError::ShapeMismatch`] when `x.cols() != self.rows()` or
@@ -253,83 +253,40 @@ impl QuantMatrix {
         }
         scratch.quantize_rows(x);
         out.resize(m, n);
-        let plan = exec.plan();
-        // Kernel choice from the *total* row count so every panel of a
-        // parallel run uses the same kernel as the sequential run.
-        let tiled = m >= plan.i8_tiled_min_rows;
         let x_q = &scratch.x_q[..];
         let x_scales = &scratch.x_scales[..];
         let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
         let act = &act;
-        let backend = plan.i8_backend;
-        exec.run_row_panels(m, if tiled { QTILE_ROWS } else { 1 }, &|r0, r1| {
+        // One row is the unit of work and every batch size runs the same
+        // kernel, so any row split across the pool computes exactly what
+        // the sequential run does.
+        exec.run_row_panels(m, 1, &|r0, r1| {
             // SAFETY: panels partition the row range, so each closure
             // invocation writes a disjoint slice of `out`.
             let panel = unsafe {
                 std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n)
             };
-            if plan.i8_tile_cols <= 16 {
-                self.qgemm_panel::<16, _>(x_q, x_scales, k, bias, act, r0, r1, panel, tiled, backend);
-            } else {
-                self.qgemm_panel::<32, _>(x_q, x_scales, k, bias, act, r0, r1, panel, tiled, backend);
-            }
+            ACC_ROW.with(|cell| {
+                let mut acc = cell.borrow_mut();
+                acc.resize(n, 0);
+                for (i, out_row) in (r0..r1).zip(panel.chunks_exact_mut(n)) {
+                    qstream(&x_q[i * k..(i + 1) * k], &self.data, n, &mut acc);
+                    epilogue(&acc, x_scales[i], &self.scales, bias, out_row, act);
+                }
+            });
         });
         Ok(())
     }
-
-    /// Compute output rows `r0..r1` into `panel`, one `TC`-column strip
-    /// at a time. Both the 4-row tiled path and the single-row path
-    /// produce identical i32 accumulators and share one epilogue, so the
-    /// split between them never changes results — and because integer
-    /// accumulation is exactly associative, neither does the `backend`
-    /// (the SIMD int8 micro-kernels in [`crate::kernels`] are
-    /// bit-identical to scalar, unlike their f32 siblings).
-    #[allow(clippy::too_many_arguments)] // internal kernel plumbing
-    fn qgemm_panel<const TC: usize, F: Fn(f32) -> f32>(
-        &self,
-        x_q: &[i8],
-        x_scales: &[f32],
-        k: usize,
-        bias: &[f32],
-        act: &F,
-        r0: usize,
-        r1: usize,
-        panel: &mut [f32],
-        tiled: bool,
-        backend: Backend,
-    ) {
-        let n = self.cols;
-        let w = &self.data[..];
-        let mut j0 = 0;
-        while j0 < n {
-            let jw = TC.min(n - j0);
-            let w_scales = &self.scales[j0..j0 + jw];
-            let b = &bias[j0..j0 + jw];
-            let mut i = r0;
-            if tiled && jw == TC {
-                let mut acc = [[0i32; TC]; QTILE_ROWS];
-                while i + QTILE_ROWS <= r1 {
-                    qtile_dispatch::<TC>(backend, x_q, k, w, n, i, j0, &mut acc);
-                    for (t, row_acc) in acc.iter().enumerate() {
-                        let base = (i + t - r0) * n + j0;
-                        epilogue(row_acc, x_scales[i + t], w_scales, b, &mut panel[base..base + TC], act);
-                    }
-                    i += QTILE_ROWS;
-                }
-            }
-            let mut racc = [0i32; TC];
-            while i < r1 {
-                qrow_dispatch::<TC>(backend, &x_q[i * k..(i + 1) * k], w, n, j0, jw, &mut racc);
-                let base = (i - r0) * n + j0;
-                epilogue(&racc[..jw], x_scales[i], w_scales, b, &mut panel[base..base + jw], act);
-                i += 1;
-            }
-            j0 += TC;
-        }
-    }
 }
 
-/// The shared f32 epilogue: rescale, add bias, activate.
+thread_local! {
+    /// The `n`-wide i32 accumulator row of the int8 GEMM. Pool workers
+    /// are long-lived threads, so after the first call per layer width
+    /// the steady state allocates nothing.
+    static ACC_ROW: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The f32 epilogue: rescale, add bias, activate.
 #[inline]
 fn epilogue<F: Fn(f32) -> f32>(
     acc: &[i32],
@@ -388,6 +345,7 @@ mod tests {
     use super::*;
     use crate::plan::KernelPlan;
     use crate::rng::SeededRng;
+    use crate::tiling::Backend;
     use proptest::prelude::*;
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -452,24 +410,92 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_reference_both_kernels() {
+    fn matmul_matches_reference() {
         let x = random_matrix(23, 40, 3);
         let w = QuantMatrix::quantize(&random_matrix(40, 37, 4)).unwrap();
         let bias: Vec<f32> = (0..37).map(|i| i as f32 * 0.01 - 0.2).collect();
         let act = |v: f32| v.max(0.0);
         let expect = reference(&x, &w, &bias, act);
-        for (tile_cols, tiled_min) in [(16usize, 4usize), (32, 4), (16, 1000), (32, 1000)] {
-            let plan = KernelPlan {
-                i8_tile_cols: tile_cols,
-                i8_tiled_min_rows: tiled_min,
-                ..KernelPlan::inline()
-            };
-            let exec = Exec::from_plan(plan);
-            let mut out = Matrix::default();
-            let mut scratch = QuantScratch::new();
-            w.matmul_bias_act_into_exec(&x, &bias, act, &mut out, &mut scratch, &exec)
-                .unwrap();
-            assert_eq!(out, expect, "tile_cols={tile_cols} tiled_min={tiled_min}");
+        let mut out = Matrix::default();
+        let mut scratch = QuantScratch::new();
+        w.matmul_bias_act_into_exec(&x, &bias, act, &mut out, &mut scratch, &Exec::inline())
+            .unwrap();
+        assert_eq!(out, expect);
+    }
+
+    /// Weights at the i8 extremes: whole columns of −128 and of 127, a
+    /// column alternating −128/127, and a mixed pattern with −127.
+    fn extreme_weights(k: usize, n: usize) -> QuantMatrix {
+        let data = (0..k * n)
+            .map(|i| {
+                let (kk, c) = (i / n, i % n);
+                match c % 4 {
+                    0 => -128,
+                    1 => 127,
+                    2 if kk % 2 == 0 => -128,
+                    2 => 127,
+                    _ => [-128, 127, -127, 0, 1, -1][(kk * 7 + c) % 6],
+                }
+            })
+            .collect();
+        let scales = (0..n).map(|c| 0.01 * (c + 1) as f32).collect();
+        QuantMatrix::from_parts(k, n, data, scales).unwrap()
+    }
+
+    /// Activation rows that quantise to ±127 everywhere, all-zero rows,
+    /// rows zero on every other element, rows whose k-pairs alternate
+    /// between both-zero and both-nonzero, and two random rows.
+    fn extreme_activations(k: usize) -> Matrix {
+        let patterns: [&dyn Fn(usize) -> f32; 8] = [
+            &|_| 3.0,
+            &|_| -3.0,
+            &|j| if j % 2 == 0 { 3.0 } else { -3.0 },
+            &|_| 0.0,
+            &|j| if j % 2 == 0 { 0.0 } else { -3.0 },
+            &|j| if j % 2 == 1 { 0.0 } else { 3.0 },
+            &|j| if (j / 2) % 2 == 0 { 0.0 } else { -3.0 },
+            &|j| if (j / 2) % 2 == 1 { 0.0 } else { 3.0 },
+        ];
+        let mut data: Vec<f32> = patterns.iter().flat_map(|p| (0..k).map(p)).collect();
+        data.extend(random_matrix(2, k, k as u64).as_slice());
+        Matrix::from_vec(patterns.len() + 2, k, data).unwrap()
+    }
+
+    /// The int8 GEMM is exact at the value extremes, for odd and even
+    /// `k` (the pair tail) and ragged `n`, on every backend a plan can
+    /// name and at every pool size. Pinning −128 weights against ±127
+    /// activations rules out saturating i16 shortcuts (`maddubs`-style
+    /// u8×i8 pair sums overflow there).
+    #[test]
+    fn extremes_match_reference_on_every_backend_and_pool_size() {
+        let act = |v: f32| if v > 0.0 { v } else { 0.01 * v };
+        for k in [1usize, 2, 1023, 1024] {
+            let x = extreme_activations(k);
+            assert!(x.rows() >= 8, "enough rows to split across the pool");
+            for n in [1usize, 7, 15, 17, 512] {
+                let w = extreme_weights(k, n);
+                let bias: Vec<f32> = (0..n).map(|c| (c as f32).cos()).collect();
+                let expect = reference(&x, &w, &bias, act);
+                let mut scratch = QuantScratch::new();
+                for backend in Backend::candidates() {
+                    let plan = KernelPlan {
+                        par_min_rows: 8,
+                        ..KernelPlan::inline().with_backend(backend)
+                    };
+                    let execs = [
+                        Exec::inline(),
+                        Exec::from_plan(plan.with_threads(1)),
+                        Exec::from_plan(plan.with_threads(2)),
+                        Exec::from_plan(plan.with_threads(8)),
+                    ];
+                    for (pool, exec) in [0, 1, 2, 8].into_iter().zip(&execs) {
+                        let mut out = Matrix::default();
+                        w.matmul_bias_act_into_exec(&x, &bias, act, &mut out, &mut scratch, exec)
+                            .unwrap();
+                        assert_eq!(out, expect, "k={k} n={n} backend={backend} pool={pool}");
+                    }
+                }
+            }
         }
     }
 
@@ -517,24 +543,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The acceptance property: for any shape and any plan, the i8
-        /// GEMM is bit-identical across pool sizes 0/1/2/8.
+        /// The acceptance property: for any shape, the i8 GEMM is
+        /// bit-identical across pool sizes 0/1/2/8.
         #[test]
         fn qgemm_bit_identical_across_pool_sizes(
             m in 1usize..40,
             k in 1usize..48,
             n in 1usize..40,
             seed in 0u64..1000,
-            tile16 in any::<bool>(),
-            tiled_min in 1usize..32,
         ) {
             let x = random_matrix(m, k, seed);
             let w = QuantMatrix::quantize(&random_matrix(k, n, seed ^ 0xABCD)).unwrap();
             let bias: Vec<f32> = (0..n).map(|i| (i as f32).sin() * 0.1).collect();
             let act = |v: f32| if v > 0.0 { v } else { 0.01 * v };
             let plan = KernelPlan {
-                i8_tile_cols: if tile16 { 16 } else { 32 },
-                i8_tiled_min_rows: tiled_min,
                 // Force parallel dispatch even for tiny batches.
                 par_min_rows: 8,
                 ..KernelPlan::inline()

@@ -25,6 +25,12 @@
 //! [`crate::kernels`] is shared by every backend — so the scalar path
 //! keeps its bit-identity guarantees while SIMD backends slot in behind
 //! the same loops.
+//!
+//! The int8 GEMM is the degenerate case of the scheme: a 1-row ×
+//! full-width tile (the i32 accumulator row), no stage, and no pool
+//! alignment. Its kernel streams W contiguously, so there is nothing to
+//! pack, and one row per unit of work leaves nothing to tune — see
+//! [`TilingScheme::i8_gemm`].
 
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +47,9 @@ use crate::Result;
 /// §14): float SIMD may round differently from the scalar `mul_add`
 /// chain on some builds, so the acceptance bar is prediction agreement
 /// ≥ 0.99 plus elementwise tolerance, not byte equality. The int8
-/// backends accumulate in exact integer arithmetic and therefore *are*
-/// bit-identical across backends.
+/// distance kernels accumulate in exact integer arithmetic and therefore
+/// *are* bit-identical across backends; the int8 GEMM has a single
+/// portable kernel and ignores the backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Portable scalar micro-kernels (lane-parallel loops the compiler
@@ -229,39 +236,17 @@ impl TilingScheme {
         }
     }
 
-    /// The scheme for the i8×i8→i32 GEMM under `plan`. The int8 path
-    /// runs at full depth (`panel_k = ∞` effectively) with **no packing
-    /// stage** (`buffers = 0`): the i8 weight strip is already 4× more
-    /// compact than f32 so it stays cache-resident as-is, and the
-    /// [`crate::quant`] accumulator bound guarantees a single-pass i32
-    /// accumulation is safe — the micro-kernels read the weights in
-    /// place.
+    /// The scheme for the i8×i8→i32 GEMM under `plan`: no register
+    /// tile and no packing stage. The kernel streams one activation row
+    /// against all of W (k-outer, n-inner, two k-rows per step) into a
+    /// full-width i32 accumulator row, so W is read contiguously once
+    /// per row at full depth, and the [`crate::quant`] accumulator bound
+    /// makes that single pass safe. A row is the unit of work, so the
+    /// pool split needs no alignment.
     pub fn i8_gemm(plan: &KernelPlan) -> Self {
         TilingScheme {
             tile: TileLevel {
-                rows: crate::quant::QTILE_ROWS,
-                cols: plan.i8_tile_cols,
-            },
-            stage: StageLevel {
-                panel_k: usize::MAX,
-                buffers: 0,
-            },
-            global: GlobalLevel {
-                align: crate::quant::QTILE_ROWS,
-                par_min_rows: plan.par_min_rows,
-            },
-        }
-    }
-
-    /// The scheme for the i8 distance family (the [`crate::qdist`]
-    /// coarse scans of the NCM index): 4-row × full-width dot tiles
-    /// sharing the query loads, no packing stage (rows are stored
-    /// contiguously already), rows never split across the pool — one
-    /// coarse scan is far below any parallel threshold.
-    pub fn i8_distance(_plan: &KernelPlan) -> Self {
-        TilingScheme {
-            tile: TileLevel {
-                rows: crate::quant::QTILE_ROWS,
+                rows: 1,
                 cols: usize::MAX,
             },
             stage: StageLevel {
@@ -269,7 +254,29 @@ impl TilingScheme {
                 buffers: 0,
             },
             global: GlobalLevel {
-                align: crate::quant::QTILE_ROWS,
+                align: 1,
+                par_min_rows: plan.par_min_rows,
+            },
+        }
+    }
+
+    /// The scheme for the i8 distance family (the [`crate::qdist`]
+    /// coarse scans of the NCM index): 4-row × full-width dot tiles
+    /// sharing the query loads (`qdot4`), no packing stage (rows are
+    /// stored contiguously already), rows never split across the pool —
+    /// one coarse scan is far below any parallel threshold.
+    pub fn i8_distance(_plan: &KernelPlan) -> Self {
+        TilingScheme {
+            tile: TileLevel {
+                rows: 4,
+                cols: usize::MAX,
+            },
+            stage: StageLevel {
+                panel_k: usize::MAX,
+                buffers: 0,
+            },
+            global: GlobalLevel {
+                align: 4,
                 par_min_rows: usize::MAX,
             },
         }
@@ -348,10 +355,12 @@ mod tests {
         assert_eq!(f.stage.panel_k, plan.panel_k);
         assert_eq!(f.stage.buffers, 2);
         let q = TilingScheme::i8_gemm(&plan);
-        assert_eq!(q.tile.cols, plan.i8_tile_cols);
-        assert_eq!(q.stage.panel_k, usize::MAX);
+        assert_eq!((q.tile.rows, q.tile.cols), (1, usize::MAX));
+        assert_eq!(q.stage.buffers, 0);
+        assert_eq!(q.global.align, 1);
+        assert_eq!(q.global.par_min_rows, plan.par_min_rows);
         assert!(f.describe().contains("tile=4x"));
-        assert!(q.describe().contains("panel_k=full"));
+        assert!(q.describe().contains("tile=1xfull panel_k=full"));
     }
 
     #[test]

@@ -352,14 +352,11 @@ proptest! {
         tiled_min_rows in 0usize..10_000,
         panel_k in 0usize..20_000,
         par_min_rows in 0usize..2_000_000,
-        i8_tile_cols in 0usize..80,
-        i8_tiled_min_rows in 0usize..10_000,
         backend_idx in 0usize..3,
-        i8_backend_idx in 0usize..3,
     ) {
-        // Sweep all three backends independently per kernel family;
-        // `sanitized()` degrades the ones the host can't run to scalar,
-        // and the round-trip must preserve whichever survives.
+        // Sweep all three backends; `sanitized()` degrades the ones the
+        // host can't run to scalar, and the round-trip must preserve
+        // whichever survives.
         const BACKENDS: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Neon];
         let plan = KernelPlan {
             version: magneto_tensor::plan::PLAN_VERSION,
@@ -368,10 +365,7 @@ proptest! {
             tiled_min_rows,
             panel_k,
             par_min_rows,
-            i8_tile_cols,
-            i8_tiled_min_rows,
             backend: BACKENDS[backend_idx],
-            i8_backend: BACKENDS[i8_backend_idx],
         }
         .sanitized();
         let back = KernelPlan::from_json(&plan.to_json()).unwrap();
