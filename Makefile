@@ -16,7 +16,7 @@ test-all:
 	$(CARGO) test -q --workspace --no-fail-fast
 
 clippy:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # Every `unsafe` block (and unsafe impl) must carry a `// SAFETY:`
 # comment on one of the three lines above it. The SIMD micro-kernels in

@@ -60,8 +60,8 @@ fn drive_fleet(
     windows: &[Vec<Vec<Vec<f32>>>],
 ) -> usize {
     for r in 0..ROUNDS {
-        for (u, (id, _)) in sessions.iter().enumerate() {
-            fleet.submit(*id, windows[u][r].clone()).unwrap();
+        for ((id, _), rounds) in sessions.iter().zip(windows) {
+            fleet.submit(*id, rounds[r].clone()).unwrap();
         }
     }
     let mut served = 0;
@@ -85,8 +85,8 @@ fn bench_fleet_vs_sequential(c: &mut Criterion) {
         b.iter(|| {
             let mut served = 0;
             for r in 0..ROUNDS {
-                for (u, dev) in devices.iter_mut().enumerate() {
-                    black_box(dev.infer_window(&windows[u][r]).unwrap());
+                for (dev, rounds) in devices.iter_mut().zip(&windows) {
+                    black_box(dev.infer_window(&rounds[r]).unwrap());
                     served += 1;
                 }
             }
@@ -101,8 +101,8 @@ fn bench_fleet_vs_sequential(c: &mut Criterion) {
     group.bench_function("fleet_pump_1_shard", |b| {
         b.iter(|| {
             for r in 0..ROUNDS {
-                for (u, (id, _)) in pump_sessions.iter().enumerate() {
-                    pump_fleet.submit(*id, windows[u][r].clone()).unwrap();
+                for ((id, _), rounds) in pump_sessions.iter().zip(&windows) {
+                    pump_fleet.submit(*id, rounds[r].clone()).unwrap();
                 }
             }
             black_box(pump_fleet.pump());

@@ -242,6 +242,7 @@ impl AppliedDelta {
 mod tests {
     use super::*;
     use magneto_tensor::vector::DistanceMetric;
+    use proptest::prelude::*;
 
     fn base_ncm() -> NcmClassifier {
         NcmClassifier::new(
@@ -345,6 +346,42 @@ mod tests {
         let back = PersonalDelta::from_bytes(&delta.to_bytes()).unwrap();
         assert_eq!(back.base_version(), Some(ModelVersion(3)));
         assert_eq!(back.to_bytes(), delta.to_bytes());
+    }
+
+    /// A delta exercising every field, pinned, as spooled to disk.
+    fn spooled_delta_bytes() -> Vec<u8> {
+        let mut delta = PersonalDelta::new();
+        delta.set_prototype("walk", vec![0.1, -2.5e-7, 3.0]);
+        delta.set_prototype("zumba", vec![7.0, 8.0, 9.0]);
+        delta.set_support("walk", vec![vec![1.0e-30, 2.5], vec![0.3, 0.7]]);
+        delta.set_margin(1.125);
+        delta.set_threshold(0.004_217);
+        delta.pin_base(ModelVersion(2));
+        delta.to_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Spool files and downlinked deltas are untrusted bytes: no
+        /// bit flip or truncation may panic the decoder, and whatever a
+        /// flip still decodes to must apply or fail cleanly.
+        #[test]
+        fn from_bytes_never_panics_on_flips_or_truncation(
+            pos in any::<u64>(),
+            bit in 0u8..8,
+            cut in any::<u64>(),
+        ) {
+            let good = spooled_delta_bytes();
+            let mut flipped = good.clone();
+            flipped[(pos % good.len() as u64) as usize] ^= 1 << bit;
+            if let Ok(delta) = PersonalDelta::from_bytes(&flipped) {
+                let mut ncm = base_ncm();
+                let _ = delta.apply(&mut ncm);
+            }
+            let cut = (cut % good.len() as u64) as usize;
+            prop_assert!(PersonalDelta::from_bytes(&good[..cut]).is_err());
+        }
     }
 
     #[test]

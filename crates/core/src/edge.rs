@@ -8,7 +8,7 @@
 //! calibration — all without a byte of uplink.
 
 use crate::bundle::{BundleSizeReport, EdgeBundle};
-use crate::drift::{DriftMonitor, DriftStatus};
+use crate::drift::DriftStatus;
 use crate::embed::BatchEmbedder;
 use crate::error::CoreError;
 use crate::incremental::{IncrementalConfig, ModelState, UpdateMode, UpdateOutcome};
@@ -18,7 +18,7 @@ use crate::inference::{
 };
 use crate::precision::{Precision, QuantizedSupportSet, ResidentSupport};
 use crate::privacy::PrivacyLedger;
-use crate::recalibrate::{HealingStats, Recalibrator, SelfHealingConfig};
+use crate::recalibrate::{HealingLoop, HealingStats, SelfHealingConfig};
 use crate::version::{Lineage, ModelVersion};
 use crate::Result;
 use magneto_dsp::PreprocessingPipeline;
@@ -43,7 +43,7 @@ pub struct EdgeConfig {
     #[serde(default)]
     pub precision: Precision,
     /// Self-healing under concept drift: when set, the device runs a
-    /// [`DriftMonitor`] over the streaming path and automatically
+    /// [`HealingLoop`] over the streaming path and automatically
     /// recalibrates through the transactional update gates (see
     /// [`crate::recalibrate`]). `None` (the default) preserves the
     /// drift-blind behaviour.
@@ -61,52 +61,6 @@ impl Default for EdgeConfig {
             precision: Precision::F32,
             healing: None,
         }
-    }
-}
-
-/// Runtime state of the self-healing loop: the streaming drift detector
-/// plus the recalibration policy that drives transactional repairs.
-///
-/// The support-set percentile from deploy time only floors the baseline:
-/// live streaming windows sit at a different distance scale than the
-/// curated support exemplars, so the first `warmup` windows of the
-/// stream (assumed nominal) re-calibrate the baseline to the observed
-/// mean before alerting is armed.
-#[derive(Debug)]
-struct HealingLoop {
-    monitor: DriftMonitor,
-    recal: Recalibrator,
-    calibrated: bool,
-    calib_sum: f64,
-    calib_n: u64,
-}
-
-impl HealingLoop {
-    /// Feed one nearest-prototype distance into the live baseline
-    /// estimate; once enough windows are seen, re-baseline the monitor
-    /// (floored by the deploy-time baseline) and re-enter warmup.
-    fn calibrate(&mut self, nearest: f32) {
-        if self.calibrated || !nearest.is_finite() {
-            return;
-        }
-        self.calib_sum += f64::from(nearest);
-        self.calib_n += 1;
-        if self.calib_n >= self.recal.config().warmup.max(1) {
-            let mean = (self.calib_sum / self.calib_n as f64) as f32;
-            let floor = self.monitor.baseline();
-            self.monitor.reset(mean.max(floor));
-            self.calibrated = true;
-        }
-    }
-
-    /// Restart live-baseline estimation (after a committed
-    /// recalibration changed the support set under the monitor).
-    fn recalibrate_baseline(&mut self) {
-        let b = self.monitor.baseline();
-        self.monitor.reset(b);
-        self.calibrated = false;
-        self.calib_sum = 0.0;
-        self.calib_n = 0;
     }
 }
 
@@ -178,11 +132,11 @@ impl EdgeDevice {
         Ok(device)
     }
 
-    /// Switch on the self-healing loop: a [`DriftMonitor`] baselined on
-    /// the current support set watches every streaming window, and the
-    /// [`Recalibrator`] policy turns sustained drift into transactional
-    /// calibration attempts (committed only through the validation
-    /// gates; byte-exact rollback otherwise). Re-enabling replaces any
+    /// Switch on the self-healing loop: a [`HealingLoop`] baselined on
+    /// the current support set watches every streaming window and turns
+    /// sustained drift into transactional calibration attempts
+    /// (committed only through the validation gates; byte-exact
+    /// rollback otherwise). Re-enabling replaces any
     /// previous loop and re-baselines against the current support set.
     ///
     /// # Errors
@@ -194,21 +148,9 @@ impl EdgeDevice {
         let baseline = self
             .state
             .rejection_threshold(config.baseline_percentile, 1.0)?;
-        let monitor = DriftMonitor::new(
-            baseline.max(1e-6),
-            config.alert_ratio,
-            config.alpha,
-            config.warmup,
-        )?;
-        let recal = Recalibrator::new(config)?;
+        let healing = HealingLoop::new(config, Some(baseline))?;
         self.session.set_retain_windows(true);
-        self.healing = Some(HealingLoop {
-            monitor,
-            recal,
-            calibrated: false,
-            calib_sum: 0.0,
-            calib_n: 0,
-        });
+        self.healing = Some(healing);
         Ok(())
     }
 
@@ -221,13 +163,13 @@ impl EdgeDevice {
 
     /// Current drift status, when self-healing is enabled.
     pub fn drift_status(&self) -> Option<DriftStatus> {
-        self.healing.as_ref().map(|h| h.monitor.status())
+        self.healing.as_ref().map(|h| h.monitor().status())
     }
 
     /// Self-healing counters (alerts, committed recalibrations,
     /// rollbacks, strikes), when the loop is enabled.
     pub fn healing_stats(&self) -> Option<HealingStats> {
-        self.healing.as_ref().map(|h| h.recal.stats())
+        self.healing.as_ref().map(HealingLoop::stats)
     }
 
     /// Activities the device currently recognises.
@@ -381,74 +323,34 @@ impl EdgeDevice {
     /// calibration evidence, and — on sustained drift past hysteresis
     /// and cooldown — attempt a transactional recalibration.
     fn self_heal(&mut self, preds: &mut [SmoothedPrediction]) -> Result<()> {
-        if self.healing.is_none() {
+        let Some(healing) = self.healing.as_mut() else {
             return Ok(());
-        }
+        };
         let windows = self.session.take_retained();
-        let dim = self.pipeline.output_dim();
-        let mut row = vec![0.0f32; dim];
+        let pipeline = &self.pipeline;
         let mut fire = false;
         for (p, window) in preds.iter_mut().zip(&windows) {
-            let healing = self.healing.as_mut().expect("checked above");
-            let nearest = p
-                .raw
-                .distances
-                .iter()
-                .cloned()
-                .fold(f32::INFINITY, f32::min);
-            healing.calibrate(nearest);
-            let status = healing.monitor.observe(nearest);
-            p.raw.drift = Some(status);
-            // Harvest evidence: the policy filters on confidence and
-            // quality; featurisation is only paid for eligible windows.
-            if p.raw.confidence >= healing.recal.config().min_confidence
-                && !p.raw.quality.is_degraded()
-            {
-                self.pipeline.process_into(window, &mut row)?;
-                let healing = self.healing.as_mut().expect("checked above");
-                healing
-                    .recal
-                    .offer(&p.raw.label, &row, p.raw.confidence, p.raw.quality);
-            }
-            let healing = self.healing.as_mut().expect("checked above");
-            fire |= healing.recal.observe(status);
+            fire |= healing.observe(&mut p.raw, || {
+                let mut row = vec![0.0f32; pipeline.output_dim()];
+                pipeline.process_into(window, &mut row)?;
+                Ok::<_, CoreError>(Some(row))
+            })?;
         }
         if fire {
-            self.attempt_recalibration();
+            // Automatic recalibration runs through the same transactional
+            // gates as user-triggered learning; a rejected or errored
+            // update is rolled back byte-exactly and never reaches the
+            // serving path.
+            let mut healing = self.healing.take().expect("matched above");
+            healing.attempt(|label, rows| {
+                matches!(
+                    self.update(label, rows, UpdateMode::Calibration),
+                    Ok(UpdateOutcome::Committed(_))
+                )
+            });
+            self.healing = Some(healing);
         }
         Ok(())
-    }
-
-    /// Execute one automatic recalibration attempt through the same
-    /// transactional gates as user-triggered learning. Failures never
-    /// propagate into the serving path: a rejected or errored update is
-    /// rolled back byte-exactly by the transactional machinery and
-    /// counted as a strike.
-    fn attempt_recalibration(&mut self) {
-        let Some(candidate) = self.healing.as_ref().and_then(|h| h.recal.candidate()) else {
-            return;
-        };
-        let (label, rows) = candidate;
-        let config = self.config.incremental;
-        let outcome =
-            self.state
-                .update_transactional(&label, &rows, UpdateMode::Calibration, &config, &mut self.rng);
-        match outcome {
-            Ok(UpdateOutcome::Committed(_)) => {
-                // The refreshed support set shifts the distance scale, so
-                // re-estimate the live baseline from the post-commit
-                // stream (old baseline stays as the floor).
-                if let Some(healing) = self.healing.as_mut() {
-                    healing.recal.note_commit();
-                    healing.recalibrate_baseline();
-                }
-            }
-            Ok(UpdateOutcome::RolledBack { .. }) | Err(_) => {
-                if let Some(healing) = self.healing.as_mut() {
-                    healing.recal.note_rollback();
-                }
-            }
-        }
     }
 
     /// Reset the streaming session (activity boundary in the UI).
@@ -479,14 +381,7 @@ impl EdgeDevice {
         recording: &SensorDataset,
     ) -> Result<UpdateOutcome> {
         let features = self.featurize_recording(recording)?;
-        let config = self.config.incremental;
-        self.state.update_transactional(
-            label,
-            &features,
-            UpdateMode::NewActivity,
-            &config,
-            &mut self.rng,
-        )
+        self.update(label, &features, UpdateMode::NewActivity)
     }
 
     /// Calibrate an existing activity to the user's personal style: the
@@ -502,14 +397,19 @@ impl EdgeDevice {
         recording: &SensorDataset,
     ) -> Result<UpdateOutcome> {
         let features = self.featurize_recording(recording)?;
+        self.update(label, &features, UpdateMode::Calibration)
+    }
+
+    /// One transactional update with the device's config and RNG.
+    fn update(
+        &mut self,
+        label: &str,
+        features: &[Vec<f32>],
+        mode: UpdateMode,
+    ) -> Result<UpdateOutcome> {
         let config = self.config.incremental;
-        self.state.update_transactional(
-            label,
-            &features,
-            UpdateMode::Calibration,
-            &config,
-            &mut self.rng,
-        )
+        self.state
+            .update_transactional(label, features, mode, &config, &mut self.rng)
     }
 
     fn featurize_recording(&self, recording: &SensorDataset) -> Result<Vec<Vec<f32>>> {

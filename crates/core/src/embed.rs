@@ -51,22 +51,7 @@ impl BatchEmbedder {
         rows: &[Vec<f32>],
         out: &mut Matrix,
     ) -> Result<()> {
-        if rows.is_empty() {
-            return Err(CoreError::InsufficientData(
-                "no feature rows to embed".into(),
-            ));
-        }
-        let dim = rows[0].len();
-        self.features.resize(rows.len(), dim);
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != dim {
-                return Err(CoreError::InsufficientData(format!(
-                    "ragged feature rows: row 0 has {dim} features, row {i} has {}",
-                    row.len()
-                )));
-            }
-            self.features.row_mut(i).copy_from_slice(row);
-        }
+        stage_rows(rows, &mut self.features)?;
         model.embed_into(&self.features, out, &mut self.ws)?;
         Ok(())
     }
@@ -106,6 +91,30 @@ impl BatchEmbedder {
     pub(crate) fn classify_parts(&mut self) -> (&mut NcmScratch, &mut NcmDecision) {
         (&mut self.ncm_scratch, &mut self.decision)
     }
+}
+
+/// Stack feature rows into `out`, reusing its allocation.
+///
+/// # Errors
+/// [`CoreError::InsufficientData`] on an empty slice or ragged rows.
+pub fn stage_rows(rows: &[Vec<f32>], out: &mut Matrix) -> Result<()> {
+    if rows.is_empty() {
+        return Err(CoreError::InsufficientData(
+            "no feature rows to embed".into(),
+        ));
+    }
+    let dim = rows[0].len();
+    out.resize(rows.len(), dim);
+    for (i, row) in rows.iter().enumerate() {
+        if row.len() != dim {
+            return Err(CoreError::InsufficientData(format!(
+                "ragged feature rows: row 0 has {dim} features, row {i} has {}",
+                row.len()
+            )));
+        }
+        out.row_mut(i).copy_from_slice(row);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

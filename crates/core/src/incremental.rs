@@ -608,35 +608,54 @@ impl ModelState {
         // support exemplars (as they existed *before* the update),
         // classified through the new model and prototypes.
         if validation.self_accuracy_floor > 0.0 {
-            let mut embedder = BatchEmbedder::new();
-            let mut embeddings = Matrix::default();
-            let mut correct = 0usize;
-            let mut total = 0usize;
-            for label in pre_support.classes() {
-                if label == target {
-                    continue;
-                }
-                pre_support.class_features_into(&label, embedder.staging())?;
-                embedder.embed_staged(&self.model, &mut embeddings)?;
-                for r in 0..embeddings.rows() {
-                    if self.ncm.classify(embeddings.row(r))?.label == label {
-                        correct += 1;
-                    }
-                    total += 1;
-                }
-            }
-            if total > 0 {
-                let after = correct as f32 / total as f32;
-                if after < validation.self_accuracy_floor {
-                    return Ok(Some(RollbackReason::SelfAccuracy {
-                        after,
-                        floor: validation.self_accuracy_floor,
-                    }));
-                }
+            let classes = pre_support.classes();
+            let old_classes = classes.iter().map(String::as_str).filter(|l| *l != target);
+            let accuracy = self_accuracy(&self.model, &self.ncm, old_classes, |label, staging| {
+                pre_support.class_features_into(label, staging)?;
+                Ok(true)
+            })?;
+            if let Some(after) = accuracy.filter(|a| *a < validation.self_accuracy_floor) {
+                return Ok(Some(RollbackReason::SelfAccuracy {
+                    after,
+                    floor: validation.self_accuracy_floor,
+                }));
             }
         }
         Ok(None)
     }
+}
+
+/// The self-accuracy probe behind every commit gate: embed each label's
+/// rows through `model` as one batch, classify them with `ncm`, and
+/// return the fraction assigned back to their own label — `None` when
+/// no row was probed. `stage(label, staging)` writes a label's rows into
+/// the embedder's staging matrix and returns `false` to skip the label.
+///
+/// # Errors
+/// Propagates staging, embedding and classification failures.
+pub fn self_accuracy<'l>(
+    model: &ResidentModel,
+    ncm: &NcmClassifier,
+    labels: impl IntoIterator<Item = &'l str>,
+    mut stage: impl FnMut(&str, &mut Matrix) -> Result<bool>,
+) -> Result<Option<f32>> {
+    let mut embedder = BatchEmbedder::new();
+    let mut embeddings = Matrix::default();
+    let mut correct = 0usize;
+    let mut total = 0usize;
+    for label in labels {
+        if !stage(label, embedder.staging())? {
+            continue;
+        }
+        embedder.embed_staged(model, &mut embeddings)?;
+        for r in 0..embeddings.rows() {
+            if ncm.classify(embeddings.row(r))?.label == label {
+                correct += 1;
+            }
+            total += 1;
+        }
+    }
+    Ok((total > 0).then(|| correct as f32 / total as f32))
 }
 
 /// Mission (i) of the support set: class prototypes for the NCM.

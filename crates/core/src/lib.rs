@@ -61,10 +61,11 @@ pub use cloud::{CloudConfig, CloudInitializer};
 pub use delta::{AppliedDelta, PersonalDelta};
 pub use drift::{DriftMonitor, DriftStatus};
 pub use edge::{EdgeConfig, EdgeDevice};
-pub use embed::BatchEmbedder;
+pub use embed::{stage_rows, BatchEmbedder};
 pub use error::CoreError;
 pub use incremental::{
-    IncrementalConfig, RollbackReason, UpdateOutcome, UpdateReport, ValidationConfig,
+    self_accuracy, IncrementalConfig, RollbackReason, UpdateOutcome, UpdateReport,
+    ValidationConfig,
 };
 pub use inference::{infer_batch, BatchJob, InferenceView, LatencyStats, Prediction, SensorHealth};
 pub use magneto_dsp::{GuardConfig, SignalQuality};
@@ -73,7 +74,7 @@ pub use metrics::ConfusionMatrix;
 pub use ncm::{NcmClassifier, NcmDecision, NcmScratch};
 pub use precision::{Precision, QuantizedSupportSet, ResidentModel, ResidentSupport};
 pub use privacy::PrivacyLedger;
-pub use recalibrate::{HealingStats, Recalibrator, SelfHealingConfig};
+pub use recalibrate::{HealingLoop, HealingStats, Recalibrator, SelfHealingConfig};
 pub use sharing::ClassPack;
 pub use timeline::TimelineBuilder;
 pub use support_set::{SelectionStrategy, SupportSet};

@@ -20,14 +20,18 @@
 //!   cannot pass the safety gates, at which point only a user-triggered
 //!   calibration recording (§3.3) can help.
 //!
-//! The policy itself never touches the model: [`crate::EdgeDevice`]
-//! executes attempts through `update_transactional`, so every automatic
-//! recalibration passes the same non-finite / loss-growth /
-//! self-accuracy gates — and gets the same byte-exact rollback — as a
-//! user-triggered one.
+//! [`HealingLoop`] wraps the policy together with the drift monitor and
+//! the live-baseline estimate: the one loop both [`crate::EdgeDevice`]
+//! and a fleet's delta sessions drive, one served window at a time. The
+//! loop itself never touches the model: its owner passes a commit
+//! closure to [`HealingLoop::attempt`] (`update_transactional` on a
+//! device, the delta commit path in a fleet), so every automatic
+//! recalibration passes the same gates — and gets the same byte-exact
+//! rollback — as a user-triggered one.
 
-use crate::drift::DriftStatus;
+use crate::drift::{DriftMonitor, DriftStatus};
 use crate::error::CoreError;
+use crate::inference::Prediction;
 use crate::Result;
 use magneto_dsp::SignalQuality;
 use serde::{Deserialize, Serialize};
@@ -239,17 +243,23 @@ impl Recalibrator {
         confidence: f32,
         quality: SignalQuality,
     ) {
-        if self.stats.degraded
-            || confidence < self.config.min_confidence
-            || quality.is_degraded()
-        {
-            return;
+        if self.accepts(confidence, quality) {
+            self.harvest_row(label, features.to_vec());
         }
+    }
+
+    /// Whether a window with this confidence and quality would be
+    /// harvested.
+    fn accepts(&self, confidence: f32, quality: SignalQuality) -> bool {
+        !self.stats.degraded && confidence >= self.config.min_confidence && !quality.is_degraded()
+    }
+
+    fn harvest_row(&mut self, label: &str, row: Vec<f32>) {
         let rows = self.harvest.entry(label.to_string()).or_default();
         if rows.len() == self.config.max_harvest {
             rows.remove(0);
         }
-        rows.push(features.to_vec());
+        rows.push(row);
     }
 
     /// The current calibration candidate: the label with the most
@@ -295,6 +305,136 @@ impl Recalibrator {
     /// Harvested window count per label (diagnostics).
     pub fn harvested(&self, label: &str) -> usize {
         self.harvest.get(label).map_or(0, Vec::len)
+    }
+}
+
+/// The self-healing loop: the streaming [`DriftMonitor`], the
+/// [`Recalibrator`] policy, and the live-baseline estimate, driven one
+/// served window at a time by [`observe`](Self::observe) and, when that
+/// says so, one [`attempt`](Self::attempt).
+///
+/// Live windows sit at a different distance scale than the curated
+/// support exemplars, so the first `warmup` windows of the stream
+/// (assumed nominal) estimate the monitor's baseline as their mean
+/// nearest-prototype distance, and every committed recalibration starts
+/// a fresh estimate. A device has a deploy-time baseline (a support-set
+/// distance percentile), and each estimate is floored at the monitor's
+/// current baseline, which starts there. A fleet delta session has no
+/// deploy baseline of its own: it starts from a 1.0 placeholder and its
+/// estimates are not floored.
+#[derive(Debug, Clone)]
+pub struct HealingLoop {
+    monitor: DriftMonitor,
+    recal: Recalibrator,
+    /// Floor each live estimate at the current baseline (set when a
+    /// deploy-time baseline exists).
+    floored: bool,
+    /// Running `(sum, count)` of live nearest distances while the
+    /// baseline is being estimated; `None` once it is set.
+    estimate: Option<(f64, u64)>,
+}
+
+impl HealingLoop {
+    /// A fresh loop. `deploy_baseline` is the deploy-time baseline
+    /// distance, if the owner has one; it also turns on the floor.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidConfig`] when the config fails validation or
+    /// the baseline is not usable.
+    pub fn new(config: SelfHealingConfig, deploy_baseline: Option<f32>) -> Result<Self> {
+        let recal = Recalibrator::new(config)?;
+        let monitor = DriftMonitor::new(
+            deploy_baseline.unwrap_or(1.0).max(1e-6),
+            config.alert_ratio,
+            config.alpha,
+            config.warmup,
+        )?;
+        Ok(HealingLoop {
+            monitor,
+            recal,
+            floored: deploy_baseline.is_some(),
+            estimate: Some((0.0, 0)),
+        })
+    }
+
+    /// The drift monitor.
+    pub fn monitor(&self) -> &DriftMonitor {
+        &self.monitor
+    }
+
+    /// The policy's counters so far.
+    pub fn stats(&self) -> HealingStats {
+        self.recal.stats()
+    }
+
+    /// Observe one served window: feed its nearest-prototype distance to
+    /// the baseline estimate and the monitor, stamp the drift status on
+    /// `pred`, and harvest the window as evidence when the policy would
+    /// keep it. `featurize` is called only for such windows and returns
+    /// the window's pipeline feature row (`None` to skip it). Returns
+    /// `true` when a recalibration [`attempt`](Self::attempt) should
+    /// fire.
+    ///
+    /// # Errors
+    /// Whatever `featurize` returns; the window is then not counted by
+    /// the policy.
+    pub fn observe<E>(
+        &mut self,
+        pred: &mut Prediction,
+        featurize: impl FnOnce() -> std::result::Result<Option<Vec<f32>>, E>,
+    ) -> std::result::Result<bool, E> {
+        let nearest = pred.distances.iter().copied().fold(f32::INFINITY, f32::min);
+        self.estimate_baseline(nearest);
+        let status = self.monitor.observe(nearest);
+        pred.drift = Some(status);
+        if self.recal.accepts(pred.confidence, pred.quality) {
+            if let Some(row) = featurize()? {
+                self.recal.harvest_row(&pred.label, row);
+            }
+        }
+        Ok(self.recal.observe(status))
+    }
+
+    /// Run one recalibration attempt on the current candidate, if any.
+    /// `commit(label, rows)` applies it transactionally and returns
+    /// whether it committed; a commit restarts the baseline estimate, a
+    /// rollback (or error, reported as `false`) is a strike.
+    pub fn attempt(&mut self, commit: impl FnOnce(&str, &[Vec<f32>]) -> bool) {
+        let Some((label, rows)) = self.recal.candidate() else {
+            return;
+        };
+        if commit(&label, &rows) {
+            self.recal.note_commit();
+            let baseline = self.monitor.baseline();
+            self.monitor.reset(baseline);
+            self.estimate = Some((0.0, 0));
+        } else {
+            self.recal.note_rollback();
+        }
+    }
+
+    /// Accumulate one distance toward the live baseline; once `warmup`
+    /// windows are seen, re-baseline the monitor (which re-enters its
+    /// own warmup).
+    fn estimate_baseline(&mut self, nearest: f32) {
+        let Some((sum, n)) = self.estimate.as_mut() else {
+            return;
+        };
+        if !nearest.is_finite() {
+            return;
+        }
+        *sum += f64::from(nearest);
+        *n += 1;
+        if *n >= self.recal.config().warmup.max(1) {
+            let mean = (*sum / *n as f64) as f32;
+            let floor = if self.floored {
+                self.monitor.baseline()
+            } else {
+                1e-6
+            };
+            self.monitor.reset(mean.max(floor));
+            self.estimate = None;
+        }
     }
 }
 
@@ -437,6 +577,113 @@ mod tests {
         assert_eq!(label, "walk");
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0], vec![6.0]); // 0..5 evicted
+    }
+
+    /// A nominal, confident prediction whose nearest prototype sits at
+    /// `nearest`.
+    fn prediction(nearest: f32) -> Prediction {
+        Prediction {
+            label: "walk".into(),
+            confidence: 0.9,
+            distances: vec![nearest, nearest + 1.0],
+            latency: std::time::Duration::ZERO,
+            quality: SignalQuality::Nominal,
+            drift: None,
+        }
+    }
+
+    /// Observe `n` windows at `nearest`, harvesting a one-float row each.
+    fn feed(heal: &mut HealingLoop, nearest: f32, n: usize) {
+        for _ in 0..n {
+            let mut pred = prediction(nearest);
+            let fired = heal.observe(&mut pred, || Ok::<_, CoreError>(Some(vec![nearest])));
+            assert!(!fired.unwrap());
+            assert!(pred.drift.is_some(), "drift status not stamped");
+        }
+    }
+
+    fn loop_config() -> SelfHealingConfig {
+        SelfHealingConfig {
+            warmup: 3,
+            min_harvest: 1,
+            ..SelfHealingConfig::default()
+        }
+    }
+
+    #[test]
+    fn warmup_baseline_is_floored_only_with_a_deploy_baseline() {
+        // Device path: the live mean (1.0) is floored at the deploy
+        // baseline (2.0); a live mean above the floor (3.0) wins.
+        let mut device = HealingLoop::new(loop_config(), Some(2.0)).unwrap();
+        assert_eq!(device.monitor().baseline(), 2.0);
+        feed(&mut device, 1.0, 2);
+        assert_eq!(device.monitor().baseline(), 2.0, "re-baselined before warmup");
+        feed(&mut device, 1.0, 1);
+        assert_eq!(device.monitor().baseline(), 2.0);
+        let mut device = HealingLoop::new(loop_config(), Some(2.0)).unwrap();
+        feed(&mut device, 3.0, 3);
+        assert_eq!(device.monitor().baseline(), 3.0);
+
+        // Delta-session path: a 1.0 placeholder, replaced by the live
+        // mean even when that is smaller.
+        let mut session = HealingLoop::new(loop_config(), None).unwrap();
+        assert_eq!(session.monitor().baseline(), 1.0);
+        feed(&mut session, 0.25, 3);
+        assert_eq!(session.monitor().baseline(), 0.25);
+        // Non-finite distances never enter the estimate.
+        let mut session = HealingLoop::new(loop_config(), None).unwrap();
+        feed(&mut session, f32::INFINITY, 5);
+        assert_eq!(session.monitor().baseline(), 1.0);
+    }
+
+    #[test]
+    fn reestimate_after_commit_keeps_the_device_floor() {
+        let mut device = HealingLoop::new(loop_config(), Some(2.0)).unwrap();
+        feed(&mut device, 3.0, 3);
+        assert_eq!(device.monitor().baseline(), 3.0);
+        let mut committed = None;
+        device.attempt(|label, rows| {
+            committed = Some((label.to_string(), rows.len()));
+            true
+        });
+        assert_eq!(committed, Some(("walk".to_string(), 3)));
+        assert_eq!(device.stats().auto_recals, 1);
+        // The post-commit estimate (1.0) is floored at the current
+        // baseline, the previous live estimate.
+        feed(&mut device, 1.0, 3);
+        assert_eq!(device.monitor().baseline(), 3.0);
+
+        // Without a deploy baseline the re-estimate may fall.
+        let mut session = HealingLoop::new(loop_config(), None).unwrap();
+        feed(&mut session, 3.0, 3);
+        session.attempt(|_, _| true);
+        feed(&mut session, 1.0, 3);
+        assert_eq!(session.monitor().baseline(), 1.0);
+    }
+
+    #[test]
+    fn attempt_strikes_on_rollback_and_skips_without_evidence() {
+        let mut heal = HealingLoop::new(loop_config(), None).unwrap();
+        heal.attempt(|_, _| panic!("no evidence harvested, nothing to commit"));
+        assert_eq!(heal.stats(), HealingStats::default());
+        feed(&mut heal, 1.0, 1);
+        heal.attempt(|_, _| false);
+        let stats = heal.stats();
+        assert_eq!((stats.auto_recals, stats.recal_rollbacks, stats.strikes), (0, 1, 1));
+    }
+
+    #[test]
+    fn observe_propagates_featurize_errors_and_skips_ineligible_windows() {
+        let mut heal = HealingLoop::new(loop_config(), None).unwrap();
+        let mut pred = prediction(1.0);
+        let err = heal.observe(&mut pred, || Err::<Option<Vec<f32>>, _>("bad window"));
+        assert_eq!(err, Err("bad window"));
+        let mut pred = prediction(1.0);
+        pred.quality = SignalQuality::Degraded;
+        let fired = heal.observe(&mut pred, || -> std::result::Result<_, CoreError> {
+            panic!("degraded windows are not featurized")
+        });
+        assert!(!fired.unwrap());
     }
 
     #[test]

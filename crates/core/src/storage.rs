@@ -447,10 +447,10 @@ mod tests {
         assert!(load_framed(&path).is_err());
         // A torn journal is discarded and the old payload survives.
         save_framed(payload, &path).unwrap();
-        fs::write(&journal_path(&path), b"MGSThalf").unwrap();
+        fs::write(journal_path(&path), b"MGSThalf").unwrap();
         assert_eq!(load_framed(&path).unwrap(), payload);
         // A complete journal rolls forward.
-        fs::write(&journal_path(&path), frame_payload(b"newer")).unwrap();
+        fs::write(journal_path(&path), frame_payload(b"newer")).unwrap();
         assert_eq!(load_framed(&path).unwrap(), b"newer");
         fs::remove_file(&path).ok();
     }
@@ -469,7 +469,7 @@ mod tests {
         // The version survives journal recovery: plant a complete
         // versioned journal and confirm roll-forward keeps the stamp.
         fs::write(
-            &journal_path(&path),
+            journal_path(&path),
             frame_payload_versioned(b"newer", ModelVersion(4)),
         )
         .unwrap();
@@ -675,7 +675,7 @@ mod tests {
         save_bundle(&old, &path, false).unwrap();
         // Simulate a crash after the journal became durable but before the
         // final rename: plant the complete new frame at the journal path.
-        fs::write(&journal_path(&path), frame_payload(&new.to_bytes(false))).unwrap();
+        fs::write(journal_path(&path), frame_payload(&new.to_bytes(false))).unwrap();
         assert!(recover_journal(&path).unwrap());
         assert!(!journal_path(&path).exists());
         let loaded = load_bundle(&path).unwrap();
@@ -747,7 +747,7 @@ mod tests {
         let b = bundle();
         let path = temp_path("torn");
         save_bundle(&b, &path, false).unwrap();
-        fs::write(&journal_path(&path), b"MGST\x01\x02half a frame").unwrap();
+        fs::write(journal_path(&path), b"MGST\x01\x02half a frame").unwrap();
         assert!(!recover_journal(&path).unwrap());
         assert!(!journal_path(&path).exists());
         assert_eq!(load_bundle(&path).unwrap().registry, b.registry);
@@ -761,7 +761,7 @@ mod tests {
         let b = bundle();
         let path = temp_path("journal_only");
         fs::remove_file(&path).ok();
-        fs::write(&journal_path(&path), frame_payload(&b.to_bytes(false))).unwrap();
+        fs::write(journal_path(&path), frame_payload(&b.to_bytes(false))).unwrap();
         let loaded = load_bundle(&path).unwrap();
         assert_eq!(loaded.to_bytes(false), b.to_bytes(false));
         fs::remove_file(&path).ok();

@@ -73,10 +73,13 @@ fn frames(n: usize, seed: u64) -> Vec<SensorFrame> {
     (0..n).map(|_| s.next().unwrap()).collect()
 }
 
+/// One prediction's fingerprint: label, smoothed label, and the exact
+/// bits of every float output.
+type Fingerprint = (String, String, u32, Vec<u32>, u32);
+
 /// Run a faulted stream through a fresh device; return the prediction
-/// fingerprint (label, smoothed label, and the exact bits of every float
-/// output) plus the device's sensor-health report.
-fn serve(faulted: &[SensorFrame]) -> (Vec<(String, String, u32, Vec<u32>, u32)>, u64) {
+/// fingerprints plus the device's sensor-health report.
+fn serve(faulted: &[SensorFrame]) -> (Vec<Fingerprint>, u64) {
     let mut dev = device();
     let preds = dev.push_frames(faulted).unwrap();
     let fingerprint = preds
@@ -249,7 +252,7 @@ fn frame_drops_change_timing_not_correctness() {
 fn rolled_back_update_is_byte_and_prediction_exact() {
     let mut config = EdgeConfig::default();
     config.incremental.validation.self_accuracy_floor = 1.5; // unattainable
-    let mut dev = EdgeDevice::deploy(bundle().clone(), config.clone()).unwrap();
+    let mut dev = EdgeDevice::deploy(bundle().clone(), config).unwrap();
     let before = dev.as_bundle().to_bytes(false);
 
     let recording = SensorDataset::record_session(

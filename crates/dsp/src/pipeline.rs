@@ -368,9 +368,7 @@ mod tests {
     fn guard_repairs_saturated_samples() {
         let p = PreprocessingPipeline::new(PipelineConfig::default());
         let mut w = noisy_window(13);
-        for i in 20..30 {
-            w[5][i] = 1.0e7; // above GuardConfig::default().max_abs
-        }
+        w[5][20..30].fill(1.0e7); // above GuardConfig::default().max_abs
         let (_, q) = checked(&p, &w);
         assert_eq!(q, SignalQuality::Degraded);
     }

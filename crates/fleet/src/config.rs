@@ -62,14 +62,14 @@ pub struct FleetConfig {
     #[serde(default = "default_replay_accuracy_floor")]
     pub replay_accuracy_floor: f32,
     /// Self-healing under concept drift for base+delta sessions: when
-    /// set, every delta session gets a per-session streaming
-    /// [`magneto_core::DriftMonitor`] (baselined on its own live
-    /// distances) and a [`magneto_core::Recalibrator`] policy that, on
-    /// sustained drift, rebuilds a candidate [`magneto_core::PersonalDelta`]
-    /// off to the side from harvested high-confidence windows and swaps
-    /// it in only if it passes the replay self-accuracy gate — otherwise
-    /// the session's `(base, delta)` pair is untouched. `None` (the
-    /// default) keeps serving drift-blind.
+    /// set, every delta session gets its own
+    /// [`magneto_core::HealingLoop`] (baselined on its own live
+    /// distances) that, on sustained drift, rebuilds a candidate
+    /// [`magneto_core::PersonalDelta`] off to the side from harvested
+    /// high-confidence windows and swaps it in only if it passes the
+    /// replay self-accuracy gate — otherwise the session's
+    /// `(base, delta)` pair is untouched. `None` (the default) keeps
+    /// serving drift-blind.
     #[serde(default)]
     pub healing: Option<SelfHealingConfig>,
 }

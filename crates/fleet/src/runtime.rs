@@ -6,17 +6,18 @@ use crate::counters::{ShardCounters, ShardStats};
 use crate::error::FleetError;
 use crate::session::{FleetReply, ModelKey, SessionId, SubmitError};
 use crate::store::{
-    mean_embedding, DeltaSession, HealState, ReplayOutcome, SessionEntry, SessionModel,
-    SessionStore, SharedBase, StoreError,
+    Candidate, DeltaSession, ReplayOutcome, SessionEntry, SessionModel, SessionStore, SharedBase,
+    StoreError,
 };
 use magneto_core::drift::DriftStatus;
 use magneto_core::inference::{infer_batch, BatchJob};
 use magneto_core::{
-    BatchEmbedder, EdgeBundle, EdgeDevice, HealingStats, ModelVersion, PersonalDelta, Precision,
+    BatchEmbedder, EdgeBundle, EdgeDevice, HealingLoop, HealingStats, ModelVersion, PersonalDelta,
+    Precision,
 };
 use magneto_tensor::vector::DistanceMetric;
-use magneto_tensor::Matrix;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::convert::Infallible;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -279,9 +280,7 @@ impl Fleet {
         // configured for one (device-backed sessions carry their own via
         // `EdgeConfig::healing` when driven directly).
         let healing = match (&model, self.inner.config.healing) {
-            (SessionModel::Delta(_), Some(cfg)) => {
-                HealState::new(cfg).ok().map(Box::new)
-            }
+            (SessionModel::Delta(_), Some(cfg)) => HealingLoop::new(cfg, None).ok().map(Box::new),
             _ => None,
         };
         let spool = self.spool();
@@ -512,7 +511,9 @@ impl Fleet {
     /// activity: featurize and embed the windows through the *shared*
     /// base, store their mean embedding as the user's prototype for
     /// `label` (plus the feature rows as private support exemplars), and
-    /// rebuild the serving overlay.
+    /// commit the new delta and its serving overlay through the store's
+    /// one commit path (no accuracy floor; the session is untouched on
+    /// any error).
     ///
     /// Unlike [`Self::update_session`], this does **not** re-key the
     /// session: the backbone is untouched, so the session stays
@@ -521,7 +522,8 @@ impl Fleet {
     ///
     /// # Errors
     /// Store errors for unknown/device sessions; [`StoreError::Storage`]
-    /// on featurization/embedding failure or an empty `windows`.
+    /// on featurization/embedding failure, non-finite embeddings or an
+    /// empty `windows`.
     pub fn calibrate_session(
         &self,
         id: SessionId,
@@ -534,31 +536,21 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
         sessions.ensure_hot(id.0)?;
-        let ds = sessions.delta_mut(id.0)?;
-        let dim = ds.base.pipeline.output_dim();
+        let pipeline = &sessions.delta(id.0)?.base.pipeline;
         let mut rows = Vec::with_capacity(windows.len());
         for window in windows {
-            let mut row = vec![0.0f32; dim];
-            ds.base
-                .pipeline
+            let mut row = vec![0.0f32; pipeline.output_dim()];
+            pipeline
                 .process_checked_into(window, &mut row)
                 .map_err(|e| StoreError::Storage(e.to_string()))?;
             rows.push(row);
         }
-        let mut embedder = BatchEmbedder::new();
-        let mut embeddings = Matrix::default();
-        embedder
-            .embed_rows(&ds.base.model, &rows, &mut embeddings)
-            .map_err(|e| StoreError::Storage(e.to_string()))?;
-        ds.delta.set_prototype(label, mean_embedding(&embeddings));
-        ds.delta.set_support(label, rows);
-        // Pin the calibration to the base generation it was computed
-        // against, so a future base swap knows what to replay (legacy v0
-        // bases leave the delta unpinned and its bytes unchanged).
-        if !ds.base.version().is_legacy() {
-            ds.delta.pin_base(ds.base.version());
+        let outcome = sessions.recalibrate_delta(id.0, label, &rows, 0.0)?;
+        if let Some(reason) = outcome.rollback_reason() {
+            return Err(StoreError::Storage(format!(
+                "calibration rejected: {reason}"
+            )));
         }
-        ds.rebuild_overlay()?;
         sessions.touch(id.0);
         Ok(())
     }
@@ -630,7 +622,14 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
         sessions.ensure_hot(id.0)?;
-        sessions.restore_delta(id.0, &base, key, precision, delta)?;
+        let candidate = Candidate {
+            base,
+            key,
+            precision,
+            delta,
+        };
+        // No accuracy floor, so the commit cannot roll back.
+        let _classes = sessions.commit_delta(id.0, candidate, 0.0)?;
         sessions.touch(id.0);
         Ok(())
     }
@@ -677,7 +676,7 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
         sessions.ensure_hot(id.0)?;
-        Ok(sessions.delta_mut(id.0)?.delta.clone())
+        Ok(sessions.delta(id.0)?.delta.clone())
     }
 
     /// Number of int8 exemplar rows the session's serving overlay holds
@@ -691,7 +690,7 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
         sessions.ensure_hot(id.0)?;
-        let ds = sessions.delta_mut(id.0)?;
+        let ds = sessions.delta(id.0)?;
         let ncm = ds.overlay.as_ref().unwrap_or(&ds.base.ncm);
         Ok(ncm.num_rows() - ncm.num_classes())
     }
@@ -750,7 +749,7 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let sessions = lock_unpoisoned(&shard.sessions);
         let entry = sessions.get(id.0).ok_or(SubmitError::UnknownSession(id))?;
-        Ok(entry.healing.as_ref().map(|h| h.monitor.status()))
+        Ok(entry.healing.as_ref().map(|h| h.monitor().status()))
     }
 
     /// A session's self-healing counters (alerts, committed
@@ -766,7 +765,7 @@ impl Fleet {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let sessions = lock_unpoisoned(&shard.sessions);
         let entry = sessions.get(id.0).ok_or(SubmitError::UnknownSession(id))?;
-        Ok(entry.healing.as_ref().map(|h| h.recal.stats()))
+        Ok(entry.healing.as_deref().map(HealingLoop::stats))
     }
 
     /// Chaos hook: make the session's next `count` served windows panic
@@ -1023,15 +1022,13 @@ fn run_windows(
     infer_batch(model, &jobs, embedder)
 }
 
-/// The fleet-side self-healing step for one served window: observe the
-/// nearest-prototype distance on the session's drift monitor, stamp the
-/// drift status onto the reply, harvest confident nominal windows as
-/// recalibration evidence (featurized through the shared base's
-/// pipeline), and — on sustained drift past hysteresis and cooldown —
-/// rebuild the session's [`PersonalDelta`] off to the side and swap it
-/// in through the replay self-accuracy gate
-/// ([`SessionStore::recalibrate_delta`]), striking out on rollback. A
-/// no-op unless [`FleetConfig::healing`] is set and the session is a
+/// The fleet-side self-healing step for one served window: the
+/// session's [`HealingLoop`] observes the reply (harvesting through the
+/// shared base's pipeline), and on sustained drift attempts a
+/// recalibration through the store's commit path
+/// ([`SessionStore::recalibrate_delta`], gated at the replay
+/// self-accuracy floor). The shard counters add what the loop counted.
+/// A no-op unless [`FleetConfig::healing`] is set and the session is a
 /// hot delta session.
 fn heal_session(
     inner: &Inner,
@@ -1040,72 +1037,48 @@ fn heal_session(
     req: &Request,
     pred: &mut magneto_core::Prediction,
 ) {
-    let candidate = {
-        let Some(entry) = sessions.get_mut(req.session) else {
-            return;
-        };
-        let SessionEntry { model, healing, .. } = entry;
-        let Some(heal) = healing.as_mut() else {
-            return;
-        };
-        let SessionModel::Delta(ds) = &*model else {
-            return;
-        };
-        let nearest = pred
-            .distances
-            .iter()
-            .cloned()
-            .fold(f32::INFINITY, f32::min);
-        let status = heal.observe(nearest);
-        pred.drift = Some(status);
-        let drifted = status.is_drifted();
-        if drifted && !heal.was_drifted {
-            shard.counters.drift_alerts.fetch_add(1, Ordering::Relaxed);
-        }
-        heal.was_drifted = drifted;
-        // Harvest evidence: the policy filters on confidence and
-        // quality; featurization is only paid for eligible windows.
-        if pred.confidence >= heal.recal.config().min_confidence && !pred.quality.is_degraded() {
-            let mut row = vec![0.0f32; ds.base.pipeline.output_dim()];
-            if ds
-                .base
-                .pipeline
-                .process_checked_into(&req.window, &mut row)
-                .is_ok()
-            {
-                heal.recal.offer(&pred.label, &row, pred.confidence, pred.quality);
-            }
-        }
-        if heal.recal.observe(status) {
-            heal.recal.candidate()
-        } else {
-            None
-        }
-    };
-    let Some((label, rows)) = candidate else {
-        return;
-    };
-    let outcome =
-        sessions.recalibrate_delta(req.session, &label, &rows, inner.config.replay_accuracy_floor);
     let Some(entry) = sessions.get_mut(req.session) else {
         return;
     };
-    let Some(heal) = entry.healing.as_mut() else {
+    let (SessionModel::Delta(ds), Some(heal)) = (&entry.model, entry.healing.as_mut()) else {
         return;
     };
-    match outcome {
-        Ok(ReplayOutcome::Committed { .. }) => {
-            heal.recal.note_commit();
-            heal.rebaseline();
-            shard.counters.auto_recals.fetch_add(1, Ordering::Relaxed);
+    let before = heal.stats();
+    let pipeline = &ds.base.pipeline;
+    // A window that fails featurization is simply not harvested.
+    let Ok(fire) = heal.observe(pred, || {
+        let mut row = vec![0.0f32; pipeline.output_dim()];
+        let ok = pipeline.process_checked_into(&req.window, &mut row).is_ok();
+        Ok::<_, Infallible>(ok.then_some(row))
+    });
+    let after = if fire {
+        // The commit path needs the whole store: lift the loop off its
+        // entry for the attempt.
+        let mut heal = entry.healing.take().expect("matched above");
+        let floor = inner.config.replay_accuracy_floor;
+        heal.attempt(|label, rows| {
+            matches!(
+                sessions.recalibrate_delta(req.session, label, rows, floor),
+                Ok(ReplayOutcome::Committed { .. })
+            )
+        });
+        let after = heal.stats();
+        if let Some(entry) = sessions.get_mut(req.session) {
+            entry.healing = Some(heal);
         }
-        // A rejected or errored recalibration is a strike; the session's
-        // old state is untouched and serving continues.
-        Ok(ReplayOutcome::RolledBack { .. }) | Err(_) => {
-            heal.recal.note_rollback();
-            shard.counters.recal_rollbacks.fetch_add(1, Ordering::Relaxed);
+        after
+    } else {
+        heal.stats()
+    };
+    let add = |counter: &AtomicU64, added: u64| {
+        if added > 0 {
+            counter.fetch_add(added, Ordering::Relaxed);
         }
-    }
+    };
+    let counters = &shard.counters;
+    add(&counters.drift_alerts, after.drift_alerts - before.drift_alerts);
+    add(&counters.auto_recals, after.auto_recals - before.auto_recals);
+    add(&counters.recal_rollbacks, after.recal_rollbacks - before.recal_rollbacks);
 }
 
 /// Scatter one prediction (or serving error) back to its session.

@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn shared_and_unique_keys_never_collide() {
         let shared = ModelKey::shared(u64::MAX);
-        let unique = ModelKey::unique(u64::MAX & !UNIQUE_BIT);
+        let unique = ModelKey::unique(!UNIQUE_BIT);
         assert!(!shared.is_unique());
         assert!(unique.is_unique());
         assert_ne!(shared, unique);

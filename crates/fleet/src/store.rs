@@ -32,13 +32,12 @@
 //! their state is not delta-representable); they pin hot.
 
 use crate::session::{FleetReply, ModelKey, SessionId};
-use magneto_core::drift::{DriftMonitor, DriftStatus};
 use magneto_core::incremental::ModelState;
 use magneto_core::storage::{load_framed_versioned, save_framed_versioned};
 use magneto_core::{
-    BatchEmbedder, CoreError, EdgeBundle, EdgeDevice, InferenceView, LabelRegistry, ModelVersion,
-    NcmClassifier, PersonalDelta, Precision, QuantizedSupportSet, Recalibrator, ResidentSupport,
-    RollbackReason, SelfHealingConfig,
+    self_accuracy, stage_rows, BatchEmbedder, CoreError, EdgeBundle, EdgeDevice, HealingLoop,
+    InferenceView, LabelRegistry, ModelVersion, NcmClassifier, PersonalDelta, Precision,
+    QuantizedSupportSet, ResidentModel, ResidentSupport, RollbackReason,
 };
 use magneto_dsp::PreprocessingPipeline;
 use magneto_tensor::vector::DistanceMetric;
@@ -63,6 +62,17 @@ pub enum StoreError {
     NotDelta(SessionId),
     /// No base is registered under this `(key, precision)`.
     UnknownBase(ModelKey, Precision),
+    /// A delta pinned to one base version met a base of another: its
+    /// prototypes live in a different embedding space, so it can
+    /// neither be committed onto nor rehydrated against that base.
+    BaseMismatch {
+        /// The session the delta belongs to.
+        session: SessionId,
+        /// The version the delta is pinned to.
+        pinned: ModelVersion,
+        /// The version of the base it met.
+        base: ModelVersion,
+    },
     /// Serving/serialization/storage failure, with the underlying error
     /// rendered.
     Storage(String),
@@ -78,6 +88,14 @@ impl fmt::Display for StoreError {
             StoreError::UnknownBase(key, precision) => {
                 write!(f, "no shared base registered for {key:?} at {precision:?}")
             }
+            StoreError::BaseMismatch {
+                session,
+                pinned,
+                base,
+            } => write!(
+                f,
+                "delta for {session} is calibrated against {pinned} but the base is {base}"
+            ),
             StoreError::Storage(msg) => write!(f, "session store: {msg}"),
         }
     }
@@ -116,6 +134,17 @@ pub enum ReplayOutcome {
 }
 
 impl ReplayOutcome {
+    /// The outcome of a commit-path gate, `replayed` prototypes re-derived.
+    fn from_gate(gate: Result<usize, RollbackReason>, replayed: usize) -> Self {
+        match gate {
+            Ok(classes) => ReplayOutcome::Committed {
+                classes,
+                replayed_prototypes: replayed,
+            },
+            Err(reason) => ReplayOutcome::RolledBack { reason },
+        }
+    }
+
     /// `true` when the migration committed.
     pub fn is_committed(&self) -> bool {
         matches!(self, ReplayOutcome::Committed { .. })
@@ -218,6 +247,18 @@ impl DeltaSession {
         }
     }
 
+    /// `delta` on `base` with its overlay built, under LRU stamp `touch`.
+    fn build(base: Arc<SharedBase>, delta: PersonalDelta, touch: u64) -> Result<Self, StoreError> {
+        let mut session = DeltaSession {
+            base,
+            delta,
+            overlay: None,
+            touch,
+        };
+        session.rebuild_overlay()?;
+        Ok(session)
+    }
+
     /// Rebuild the overlay from the base + current delta. Always clones
     /// from the immutable base, so the overlay is a pure deterministic
     /// function of `(base, delta)` — the property that makes a page-out
@@ -256,9 +297,61 @@ impl DeltaSession {
     }
 }
 
-/// Column mean of an embedding matrix — the prototype derivation shared
-/// by calibration, migration replay, and automatic recalibration.
-pub(crate) fn mean_embedding(embeddings: &Matrix) -> Vec<f32> {
+/// Refuse a delta pinned to a base version other than `base`'s.
+fn check_pin(id: u64, delta: &PersonalDelta, base: &SharedBase) -> Result<(), StoreError> {
+    match delta.base_version() {
+        Some(pinned) if pinned != base.version => Err(StoreError::BaseMismatch {
+            session: SessionId(id),
+            pinned,
+            base: base.version,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// A candidate session state for [`SessionStore::commit_delta`]: the
+/// delta and the `(base, key, precision)` it is to serve under.
+pub(crate) struct Candidate {
+    pub(crate) base: Arc<SharedBase>,
+    pub(crate) key: ModelKey,
+    pub(crate) precision: Precision,
+    pub(crate) delta: PersonalDelta,
+}
+
+/// Why session `id` (with this model, if registered) is not a hot
+/// delta session.
+fn not_hot(id: u64, model: Option<&SessionModel>) -> StoreError {
+    match model {
+        None => StoreError::UnknownSession(SessionId(id)),
+        Some(SessionModel::Paged(_)) => StoreError::Storage(format!(
+            "{} touched while paged (ensure_hot not called)",
+            SessionId(id)
+        )),
+        Some(_) => StoreError::NotDelta(SessionId(id)),
+    }
+}
+
+/// The prototype for feature `rows` on `model`: their mean embedding —
+/// the derivation shared by calibration, migration replay and automatic
+/// recalibration — or why there is none.
+fn prototype(
+    model: &ResidentModel,
+    rows: &[Vec<f32>],
+    embedder: &mut BatchEmbedder,
+) -> Result<Result<Vec<f32>, RollbackReason>, StoreError> {
+    if rows.is_empty() {
+        return Ok(Err(RollbackReason::MissingReplaySource));
+    }
+    let mut embeddings = Matrix::default();
+    embedder.embed_rows(model, rows, &mut embeddings)?;
+    if (0..embeddings.rows()).any(|r| embeddings.row(r).iter().any(|v| !v.is_finite())) {
+        return Ok(Err(RollbackReason::NonFiniteWeights));
+    }
+    Ok(Ok(mean_embedding(&embeddings)))
+}
+
+/// Column mean of an embedding matrix.
+fn mean_embedding(embeddings: &Matrix) -> Vec<f32> {
     let mut proto = vec![0.0f32; embeddings.cols()];
     for r in 0..embeddings.rows() {
         for (p, v) in proto.iter_mut().zip(embeddings.row(r)) {
@@ -303,66 +396,6 @@ pub(crate) enum SessionModel {
     Paged(PagedDelta),
 }
 
-/// Per-session self-healing state for a delta session: the streaming
-/// drift detector plus the recalibration policy (both from
-/// `magneto_core::recalibrate`). The deploy-time support set gives no
-/// usable distance scale for a delta session's live stream, so the
-/// baseline is estimated from the first `warmup` served windows
-/// (assumed nominal) and re-estimated after every committed
-/// recalibration. Lives on the entry, not the model, so it survives
-/// page-out/rehydrate cycles and base migrations.
-pub(crate) struct HealState {
-    pub(crate) monitor: DriftMonitor,
-    pub(crate) recal: Recalibrator,
-    calibrated: bool,
-    calib_sum: f64,
-    calib_n: u64,
-    pub(crate) was_drifted: bool,
-}
-
-impl HealState {
-    /// Build from a validated config. The placeholder baseline is
-    /// replaced by the live estimate after `warmup` windows.
-    pub(crate) fn new(config: SelfHealingConfig) -> Result<Self, CoreError> {
-        Ok(HealState {
-            monitor: DriftMonitor::new(1.0, config.alert_ratio, config.alpha, config.warmup)?,
-            recal: Recalibrator::new(config)?,
-            calibrated: false,
-            calib_sum: 0.0,
-            calib_n: 0,
-            was_drifted: false,
-        })
-    }
-
-    /// Feed one nearest-prototype distance: while uncalibrated it
-    /// accumulates toward the live baseline (re-baselining the monitor
-    /// once enough windows are seen), then observes. Returns the
-    /// post-observation drift status.
-    pub(crate) fn observe(&mut self, nearest: f32) -> DriftStatus {
-        if !self.calibrated && nearest.is_finite() {
-            self.calib_sum += f64::from(nearest);
-            self.calib_n += 1;
-            if self.calib_n >= self.recal.config().warmup.max(1) {
-                let mean = (self.calib_sum / self.calib_n as f64) as f32;
-                self.monitor.reset(mean.max(1e-6));
-                self.calibrated = true;
-            }
-        }
-        self.monitor.observe(nearest)
-    }
-
-    /// Restart live-baseline estimation (after a committed
-    /// recalibration changed the prototypes under the monitor).
-    pub(crate) fn rebaseline(&mut self) {
-        let b = self.monitor.baseline();
-        self.monitor.reset(b);
-        self.calibrated = false;
-        self.calib_sum = 0.0;
-        self.calib_n = 0;
-        self.was_drifted = false;
-    }
-}
-
 /// One registered session: tiered model state plus serving bookkeeping.
 pub(crate) struct SessionEntry {
     pub(crate) model: SessionModel,
@@ -372,8 +405,10 @@ pub(crate) struct SessionEntry {
     pub(crate) strikes: u32,
     pub(crate) armed_panics: AtomicU32,
     /// Self-healing loop, present on delta sessions when
-    /// [`crate::FleetConfig::healing`] is set.
-    pub(crate) healing: Option<Box<HealState>>,
+    /// [`crate::FleetConfig::healing`] is set. Lives on the entry, not
+    /// the model, so it survives page-out/rehydrate cycles and base
+    /// migrations.
+    pub(crate) healing: Option<Box<HealingLoop>>,
 }
 
 impl SessionEntry {
@@ -476,19 +511,21 @@ impl SessionStore {
         self.entries.get_mut(&id)
     }
 
+    /// A **hot** delta session (call [`ensure_hot`](Self::ensure_hot)
+    /// first).
+    pub(crate) fn delta(&self, id: u64) -> Result<&DeltaSession, StoreError> {
+        match self.entries.get(&id).map(|e| &e.model) {
+            Some(SessionModel::Delta(ds)) => Ok(ds),
+            other => Err(not_hot(id, other)),
+        }
+    }
+
     /// Mutable access to a **hot** delta session (call
     /// [`ensure_hot`](Self::ensure_hot) first).
     pub(crate) fn delta_mut(&mut self, id: u64) -> Result<&mut DeltaSession, StoreError> {
-        match self.entries.get_mut(&id) {
-            None => Err(StoreError::UnknownSession(SessionId(id))),
-            Some(entry) => match &mut entry.model {
-                SessionModel::Delta(ds) => Ok(ds),
-                SessionModel::Device(_) => Err(StoreError::NotDelta(SessionId(id))),
-                SessionModel::Paged(_) => Err(StoreError::Storage(format!(
-                    "{} touched while paged (ensure_hot not called)",
-                    SessionId(id)
-                ))),
-            },
+        match self.entries.get_mut(&id).map(|e| &mut e.model) {
+            Some(SessionModel::Delta(ds)) => Ok(ds),
+            other => Err(not_hot(id, other.map(|m| &*m))),
         }
     }
 
@@ -571,22 +608,8 @@ impl SessionStore {
             }
         };
         let delta = PersonalDelta::from_bytes(&bytes)?;
-        if let Some(pinned) = delta.base_version() {
-            if pinned != pd.base.version {
-                return Err(StoreError::Storage(format!(
-                    "delta for {} is calibrated against {pinned} but the base is {}",
-                    SessionId(id),
-                    pd.base.version
-                )));
-            }
-        }
-        let mut ds = DeltaSession {
-            base: Arc::clone(&pd.base),
-            delta,
-            overlay: None,
-            touch: 0,
-        };
-        ds.rebuild_overlay()?;
+        check_pin(id, &delta, &pd.base)?;
+        let ds = DeltaSession::build(Arc::clone(&pd.base), delta, 0)?;
         if let ColdStore::Disk(path) = &pd.store {
             let _ = std::fs::remove_file(path);
         }
@@ -654,31 +677,80 @@ impl SessionStore {
         }
     }
 
+    /// The one commit path for a hot delta session: stage `candidate`
+    /// aside, rebuild its overlay, gate it, and swap it in.
+    ///
+    /// Nothing touches the session until every check has passed, so on
+    /// any rollback or error its old `(base, delta)` pair, key and
+    /// precision are left byte-identical (mirroring `UpdateOutcome`'s
+    /// commit-or-rollback contract). The checks, in order:
+    /// * a delta pinned to a version other than the candidate base's is
+    ///   refused with [`StoreError::BaseMismatch`] — it could not be
+    ///   rehydrated after a page-out;
+    /// * the overlay must rebuild (errors propagate);
+    /// * with `accuracy_floor > 0`, the overlay must classify the
+    ///   user's own support rows at the floor or better, else
+    ///   [`RollbackReason::SelfAccuracy`].
+    ///
+    /// Returns the committed session's class count. The LRU stamp is
+    /// kept, so the lru map entry still points at this id.
+    pub(crate) fn commit_delta(
+        &mut self,
+        id: u64,
+        candidate: Candidate,
+        accuracy_floor: f32,
+    ) -> Result<Result<usize, RollbackReason>, StoreError> {
+        let touch = self.delta(id)?.touch;
+        let Candidate {
+            base,
+            key,
+            precision,
+            delta,
+        } = candidate;
+        check_pin(id, &delta, &base)?;
+        let session = DeltaSession::build(base, delta, touch)?;
+        let ncm = session.overlay.as_ref().unwrap_or(&session.base.ncm);
+        if accuracy_floor > 0.0 {
+            let delta = &session.delta;
+            let accuracy = self_accuracy(
+                &session.base.model,
+                ncm,
+                delta.support_labels(),
+                |label, staging| match delta.support(label) {
+                    Some(rows) if !rows.is_empty() => stage_rows(rows, staging).map(|()| true),
+                    _ => Ok(false),
+                },
+            )?;
+            if let Some(after) = accuracy.filter(|a| *a < accuracy_floor) {
+                return Ok(Err(RollbackReason::SelfAccuracy {
+                    after,
+                    floor: accuracy_floor,
+                }));
+            }
+        }
+        let classes = ncm.num_classes();
+        let entry = self.entries.get_mut(&id).expect("hot delta checked above");
+        entry.model = SessionModel::Delta(Box::new(session));
+        entry.key = key;
+        entry.precision = precision;
+        Ok(Ok(classes))
+    }
+
     /// Transactionally migrate a hot delta session onto `new_base`,
-    /// replaying the user's calibration through the new backbone.
+    /// replaying the user's calibration through the new backbone, and
+    /// commit it through [`commit_delta`](Self::commit_delta) gated at
+    /// `accuracy_floor`.
     ///
-    /// The candidate state — replayed delta, new overlay — is built
-    /// **fully off to the side** and only swapped in after every
-    /// validation gate passes; on any rollback or error the session's
-    /// old `(base, delta)` pair is untouched (byte-exact by
-    /// construction, mirroring `UpdateOutcome`'s commit-or-rollback
-    /// contract). Prototypes are re-derived as the mean embedding of the
-    /// delta's stored support rows — the exact computation
-    /// `calibrate_session` performs — so a surviving migration is the
-    /// calibration the user would have gotten on the new base.
-    ///
-    /// Validation gates (each a [`RollbackReason`]):
+    /// Prototypes are re-derived as the mean embedding of the delta's
+    /// stored support rows — the exact computation `calibrate_session`
+    /// performs — so a surviving migration is the calibration the user
+    /// would have gotten on the new base. Margin, threshold and support
+    /// rows are base-independent and carry over verbatim. Replay gates
+    /// (each a [`RollbackReason`]):
     /// * a prototype with no stored support rows cannot cross embedding
     ///   spaces → [`RollbackReason::MissingReplaySource`];
     /// * non-finite embeddings out of the new backbone →
-    ///   [`RollbackReason::NonFiniteWeights`];
-    /// * the rebuilt overlay must classify the user's own support rows
-    ///   at `accuracy_floor` or better →
-    ///   [`RollbackReason::SelfAccuracy`].
-    ///
-    /// The caller must have called [`ensure_hot`](Self::ensure_hot)
-    /// (paged sessions rehydrate bit-identically first, so migration
-    /// after a page-out cycle replays the same bytes).
+    ///   [`RollbackReason::NonFiniteWeights`].
     pub(crate) fn migrate_delta(
         &mut self,
         id: u64,
@@ -687,122 +759,38 @@ impl SessionStore {
         precision: Precision,
         accuracy_floor: f32,
     ) -> Result<ReplayOutcome, StoreError> {
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(StoreError::UnknownSession(SessionId(id)))?;
-        let (old_touch, old_delta) = match &entry.model {
-            SessionModel::Delta(ds) => (ds.touch, &ds.delta),
-            SessionModel::Device(_) => return Err(StoreError::NotDelta(SessionId(id))),
-            SessionModel::Paged(_) => {
-                return Err(StoreError::Storage(format!(
-                    "{} migrated while paged (ensure_hot not called)",
-                    SessionId(id)
-                )))
-            }
-        };
-
-        // Build the candidate delta: margin/threshold/support rows are
-        // base-independent and carry over verbatim; prototypes live in
-        // the base's embedding space and must be re-derived.
-        let mut candidate = old_delta.clone();
+        let old_delta = &self.delta(id)?.delta;
+        let mut delta = old_delta.clone();
         let mut embedder = BatchEmbedder::new();
-        let mut embeddings = Matrix::default();
         let mut replayed = 0usize;
         for label in old_delta.prototype_labels() {
-            let Some(rows) = old_delta.support(label) else {
-                return Ok(ReplayOutcome::RolledBack {
-                    reason: RollbackReason::MissingReplaySource,
-                });
-            };
-            if rows.is_empty() {
-                return Ok(ReplayOutcome::RolledBack {
-                    reason: RollbackReason::MissingReplaySource,
-                });
+            let rows = old_delta.support(label).unwrap_or_default();
+            match prototype(&new_base.model, rows, &mut embedder)? {
+                Ok(proto) => delta.set_prototype(label, proto),
+                Err(reason) => return Ok(ReplayOutcome::RolledBack { reason }),
             }
-            embedder.embed_rows(&new_base.model, rows, &mut embeddings)?;
-            if (0..embeddings.rows()).any(|r| embeddings.row(r).iter().any(|v| !v.is_finite())) {
-                return Ok(ReplayOutcome::RolledBack {
-                    reason: RollbackReason::NonFiniteWeights,
-                });
-            }
-            candidate.set_prototype(label, mean_embedding(&embeddings));
             replayed += 1;
         }
-        if !candidate.is_empty() && !new_base.version.is_legacy() {
-            candidate.pin_base(new_base.version);
+        if !delta.is_empty() && !new_base.version.is_legacy() {
+            delta.pin_base(new_base.version);
         }
-
-        // Assemble the candidate session off to the side; an overlay
-        // rebuild failure leaves the old state untouched.
-        let mut session = DeltaSession {
+        let candidate = Candidate {
             base: Arc::clone(new_base),
-            delta: candidate,
-            overlay: None,
-            touch: old_touch,
+            key: new_key,
+            precision,
+            delta,
         };
-        session.rebuild_overlay()?;
-
-        // Self-accuracy gate: the rebuilt overlay must still recognise
-        // the user's own recordings.
-        if accuracy_floor > 0.0 {
-            let ncm = session.overlay.as_ref().unwrap_or(&new_base.ncm);
-            let mut correct = 0usize;
-            let mut total = 0usize;
-            for label in session.delta.support_labels() {
-                let rows = session.delta.support(label).expect("label from support_labels");
-                if rows.is_empty() {
-                    continue;
-                }
-                embedder.embed_rows(&new_base.model, rows, &mut embeddings)?;
-                for r in 0..embeddings.rows() {
-                    let decision = ncm.classify(embeddings.row(r))?;
-                    total += 1;
-                    if decision.label == *label {
-                        correct += 1;
-                    }
-                }
-            }
-            if total > 0 {
-                let after = correct as f32 / total as f32;
-                if after < accuracy_floor {
-                    return Ok(ReplayOutcome::RolledBack {
-                        reason: RollbackReason::SelfAccuracy {
-                            after,
-                            floor: accuracy_floor,
-                        },
-                    });
-                }
-            }
-        }
-
-        // Commit: swap the candidate in, preserving the LRU stamp (the
-        // lru map entry keeps pointing at this id).
-        let classes = session
-            .overlay
-            .as_ref()
-            .unwrap_or(&new_base.ncm)
-            .num_classes();
-        let entry = self.entries.get_mut(&id).expect("entry checked above");
-        entry.model = SessionModel::Delta(Box::new(session));
-        entry.key = new_key;
-        entry.precision = precision;
-        Ok(ReplayOutcome::Committed {
-            classes,
-            replayed_prototypes: replayed,
-        })
+        let gate = self.commit_delta(id, candidate, accuracy_floor)?;
+        Ok(ReplayOutcome::from_gate(gate, replayed))
     }
 
     /// Transactionally recalibrate a hot delta session from harvested
-    /// drift evidence: build a candidate [`PersonalDelta`] **off to the
-    /// side** — current delta plus `rows` as the refreshed support for
-    /// `label`, with the prototype re-derived as their mean embedding
-    /// (the exact [`crate::Fleet::calibrate_session`] computation) —
-    /// rebuild its overlay, and swap it in only if the candidate still
-    /// classifies the user's own support rows at `accuracy_floor` or
-    /// better. On rollback the session's old `(base, delta)` pair is
-    /// untouched (byte-exact by construction). The caller must have
-    /// called [`ensure_hot`](Self::ensure_hot).
+    /// drift evidence: `rows` become the refreshed support for `label`
+    /// (the exact [`crate::Fleet::calibrate_session`] computation), and
+    /// the candidate commits through [`commit_delta`](Self::commit_delta)
+    /// only if it still classifies *all* of the user's support rows at
+    /// `accuracy_floor` or better — the refreshed class must not
+    /// cannibalise the others.
     pub(crate) fn recalibrate_delta(
         &mut self,
         id: u64,
@@ -810,130 +798,29 @@ impl SessionStore {
         rows: &[Vec<f32>],
         accuracy_floor: f32,
     ) -> Result<ReplayOutcome, StoreError> {
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(StoreError::UnknownSession(SessionId(id)))?;
-        let (old_touch, old_delta, base) = match &entry.model {
-            SessionModel::Delta(ds) => (ds.touch, &ds.delta, Arc::clone(&ds.base)),
-            SessionModel::Device(_) => return Err(StoreError::NotDelta(SessionId(id))),
-            SessionModel::Paged(_) => {
-                return Err(StoreError::Storage(format!(
-                    "{} recalibrated while paged (ensure_hot not called)",
-                    SessionId(id)
-                )))
-            }
+        let ds = self.delta(id)?;
+        let proto = match prototype(&ds.base.model, rows, &mut BatchEmbedder::new())? {
+            Ok(proto) => proto,
+            Err(reason) => return Ok(ReplayOutcome::RolledBack { reason }),
         };
-        if rows.is_empty() {
-            return Ok(ReplayOutcome::RolledBack {
-                reason: RollbackReason::MissingReplaySource,
-            });
+        let mut delta = ds.delta.clone();
+        delta.set_prototype(label, proto);
+        delta.set_support(label, rows.to_vec());
+        // Pin the calibration to the base generation it was computed
+        // against, so a future base swap knows what to replay (legacy v0
+        // bases leave the delta unpinned and its bytes unchanged).
+        if !ds.base.version.is_legacy() {
+            delta.pin_base(ds.base.version);
         }
-
-        let mut embedder = BatchEmbedder::new();
-        let mut embeddings = Matrix::default();
-        embedder.embed_rows(&base.model, rows, &mut embeddings)?;
-        if (0..embeddings.rows()).any(|r| embeddings.row(r).iter().any(|v| !v.is_finite())) {
-            return Ok(ReplayOutcome::RolledBack {
-                reason: RollbackReason::NonFiniteWeights,
-            });
-        }
-        let mut candidate = old_delta.clone();
-        candidate.set_prototype(label, mean_embedding(&embeddings));
-        candidate.set_support(label, rows.to_vec());
-        if !base.version.is_legacy() {
-            candidate.pin_base(base.version);
-        }
-
-        // Assemble the candidate session aside; an overlay rebuild
-        // failure leaves the old state untouched.
-        let mut session = DeltaSession {
-            base: Arc::clone(&base),
-            delta: candidate,
-            overlay: None,
-            touch: old_touch,
-        };
-        session.rebuild_overlay()?;
-
-        // Self-accuracy gate across *all* of the user's support rows:
-        // the refreshed class must not cannibalise the others.
-        if accuracy_floor > 0.0 {
-            let ncm = session.overlay.as_ref().unwrap_or(&base.ncm);
-            let mut correct = 0usize;
-            let mut total = 0usize;
-            for l in session.delta.support_labels() {
-                let rows = session.delta.support(l).expect("label from support_labels");
-                if rows.is_empty() {
-                    continue;
-                }
-                embedder.embed_rows(&base.model, rows, &mut embeddings)?;
-                for r in 0..embeddings.rows() {
-                    let decision = ncm.classify(embeddings.row(r))?;
-                    total += 1;
-                    if decision.label == *l {
-                        correct += 1;
-                    }
-                }
-            }
-            if total > 0 {
-                let after = correct as f32 / total as f32;
-                if after < accuracy_floor {
-                    return Ok(ReplayOutcome::RolledBack {
-                        reason: RollbackReason::SelfAccuracy {
-                            after,
-                            floor: accuracy_floor,
-                        },
-                    });
-                }
-            }
-        }
-
-        let classes = session.overlay.as_ref().unwrap_or(&base.ncm).num_classes();
-        let entry = self.entries.get_mut(&id).expect("entry checked above");
-        entry.model = SessionModel::Delta(Box::new(session));
-        Ok(ReplayOutcome::Committed {
-            classes,
-            replayed_prototypes: 1,
-        })
-    }
-
-    /// Restore a delta session to a given `(base, delta)` pair verbatim
-    /// — the rollback path a rollout driver uses to walk a canary wave
-    /// back to version N with the exact pre-migration delta bytes.
-    pub(crate) fn restore_delta(
-        &mut self,
-        id: u64,
-        base: &Arc<SharedBase>,
-        key: ModelKey,
-        precision: Precision,
-        delta: PersonalDelta,
-    ) -> Result<(), StoreError> {
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(StoreError::UnknownSession(SessionId(id)))?;
-        let old_touch = match &entry.model {
-            SessionModel::Delta(ds) => ds.touch,
-            SessionModel::Device(_) => return Err(StoreError::NotDelta(SessionId(id))),
-            SessionModel::Paged(_) => {
-                return Err(StoreError::Storage(format!(
-                    "{} restored while paged (ensure_hot not called)",
-                    SessionId(id)
-                )))
-            }
-        };
-        let mut session = DeltaSession {
-            base: Arc::clone(base),
+        let entry = &self.entries[&id];
+        let candidate = Candidate {
+            base: Arc::clone(&ds.base),
+            key: entry.key,
+            precision: entry.precision,
             delta,
-            overlay: None,
-            touch: old_touch,
         };
-        session.rebuild_overlay()?;
-        let entry = self.entries.get_mut(&id).expect("entry checked above");
-        entry.model = SessionModel::Delta(Box::new(session));
-        entry.key = key;
-        entry.precision = precision;
-        Ok(())
+        let gate = self.commit_delta(id, candidate, accuracy_floor)?;
+        Ok(ReplayOutcome::from_gate(gate, 1))
     }
 
     pub(crate) fn tier_snapshot(&self) -> TierSnapshot {

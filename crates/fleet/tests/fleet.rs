@@ -99,8 +99,8 @@ fn assert_fleet_matches_sequential(workers: usize, shards: usize, seed: u64) {
     // Interleave submissions round-robin, the worst case for accidental
     // cross-session mixups.
     for r in 0..rounds {
-        for (u, (id, _)) in registered.iter().enumerate() {
-            submit_retrying(&fleet, *id, &per_user[u][r]);
+        for ((id, _), user) in registered.iter().zip(&per_user) {
+            submit_retrying(&fleet, *id, &user[r]);
         }
     }
     if workers == 0 {
@@ -268,9 +268,9 @@ fn personalisation_rekeys_a_session() {
 
     // Both still serve; B's predictions never mention A's class.
     let per_user = traffic(2, 2, 10);
-    for r in 0..2 {
-        fleet.submit(a, per_user[0][r].clone()).unwrap();
-        fleet.submit(b, per_user[1][r].clone()).unwrap();
+    for (wa, wb) in per_user[0].iter().zip(&per_user[1]) {
+        fleet.submit(a, wa.clone()).unwrap();
+        fleet.submit(b, wb.clone()).unwrap();
     }
     fleet.pump();
     let classes_b = fleet.with_session(b, |dev| dev.classes()).unwrap();
@@ -331,8 +331,8 @@ fn shutdown_serves_everything_already_admitted() {
         (0..4).map(|_| fleet.register(device(), key)).collect();
     let per_user = traffic(4, 2, 12);
     for r in 0..2 {
-        for (u, (id, _)) in sessions.iter().enumerate() {
-            submit_retrying(&fleet, *id, &per_user[u][r]);
+        for ((id, _), user) in sessions.iter().zip(&per_user) {
+            submit_retrying(&fleet, *id, &user[r]);
         }
     }
     fleet.shutdown();
@@ -404,11 +404,11 @@ fn panicking_session_is_quarantined_and_innocents_match_sequential() {
     fleet.arm_panics(victim_id, 2).unwrap();
 
     for r in 0..rounds {
-        for (u, (id, _)) in registered.iter().enumerate() {
+        for (u, ((id, _), user)) in registered.iter().zip(&per_user).enumerate() {
             if u == victim && r >= 2 {
                 continue; // third victim window may already be quarantined
             }
-            submit_retrying(&fleet, *id, &per_user[u][r]);
+            submit_retrying(&fleet, *id, &user[r]);
         }
     }
     assert!(fleet.wait_idle(Duration::from_secs(30)), "fleet never idled");

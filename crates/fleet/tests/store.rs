@@ -625,15 +625,7 @@ fn delta_session_detects_drift_and_recalibrates_transactionally() {
         stats.auto_recals + stats.recal_rollbacks >= 1,
         "sustained drift never attempted recalibration: {stats:?}"
     );
-    // Shard counters mirror the per-session stats.
-    let shard: u64 = fleet.shard_stats().iter().map(|s| s.drift_alerts).sum();
-    assert!(shard >= 1);
-    let attempts: u64 = fleet
-        .shard_stats()
-        .iter()
-        .map(|s| s.auto_recals + s.recal_rollbacks)
-        .sum();
-    assert!(attempts >= 1);
+    assert_shard_counters_match_sessions(&fleet, &[id]);
     fleet.shutdown();
 }
 
@@ -680,5 +672,173 @@ fn rejected_fleet_recalibration_leaves_delta_bytes_exact() {
         fleet.session_delta(id).unwrap().to_bytes(),
         "rolled-back recalibration mutated the delta"
     );
+    assert_shard_counters_match_sessions(&fleet, &[id]);
     fleet.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The delta commit path refuses a delta pinned to another base version:
+// committed, it would serve while hot and fail every submit after a
+// page-out.
+// ---------------------------------------------------------------------
+
+#[test]
+fn restore_refuses_a_delta_pinned_to_another_base_version() {
+    let spool = spool_dir("restore_pin");
+    let (v1, v2) = versioned_pair();
+    let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
+    fleet.set_spool_dir(&spool).unwrap();
+    let key1 = fleet.register_base(&v1, Precision::F32).unwrap();
+    let key2 = fleet.register_base(&v2, Precision::F32).unwrap();
+    let (id, rx) = fleet.register_from_base(key1, Precision::F32).unwrap();
+    fleet
+        .calibrate_session(id, "user_move", &windows(3, 61))
+        .unwrap();
+
+    // A delta calibrated on v2 cannot be restored onto the v1 base.
+    let (donor, _donor_rx) = fleet.register_from_base(key2, Precision::F32).unwrap();
+    fleet
+        .calibrate_session(donor, "user_move", &windows(3, 62))
+        .unwrap();
+    let pinned_v2 = fleet.session_delta(donor).unwrap();
+    assert_eq!(pinned_v2.base_version(), Some(ModelVersion(2)));
+
+    let before = fleet.session_delta(id).unwrap().to_bytes();
+    let err = fleet
+        .restore_session(id, key1, Precision::F32, pinned_v2)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::BaseMismatch {
+            session: id,
+            pinned: ModelVersion(2),
+            base: ModelVersion(1),
+        }
+    );
+    assert_eq!(fleet.session_delta(id).unwrap().to_bytes(), before);
+    assert_eq!(fleet.session_key(id).unwrap(), key1);
+
+    // The untouched session still serves after a page-out.
+    assert!(fleet.page_out(id).unwrap());
+    fleet.submit(id, windows(1, 63).remove(0)).unwrap();
+    fleet.pump();
+    recv_ok(&rx);
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
+fn migration_onto_a_legacy_base_refuses_a_pinned_delta() {
+    let spool = spool_dir("migrate_pin");
+    let (v1, _) = versioned_pair();
+    let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
+    fleet.set_spool_dir(&spool).unwrap();
+    let key0 = fleet.register_base(bundle(), Precision::F32).unwrap();
+    let key1 = fleet.register_base(&v1, Precision::F32).unwrap();
+    let (id, rx) = fleet.register_from_base(key1, Precision::F32).unwrap();
+    fleet
+        .calibrate_session(id, "user_move", &windows(3, 71))
+        .unwrap();
+    let before = fleet.session_delta(id).unwrap().to_bytes();
+
+    let err = fleet.migrate_session(id, key0, Precision::F32).unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::BaseMismatch {
+            session: id,
+            pinned: ModelVersion(1),
+            base: ModelVersion::LEGACY,
+        }
+    );
+    assert_eq!(fleet.session_delta(id).unwrap().to_bytes(), before);
+    assert_eq!(fleet.session_version(id).unwrap(), ModelVersion(1));
+    assert_eq!(fleet.session_key(id).unwrap(), key1);
+
+    assert!(fleet.page_out(id).unwrap());
+    fleet.submit(id, windows(1, 72).remove(0)).unwrap();
+    fleet.pump();
+    recv_ok(&rx);
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+// ---------------------------------------------------------------------
+// A corrupt spool file costs its own session an error reply, never a
+// panic, and its shard-mates keep serving bit-identically.
+// ---------------------------------------------------------------------
+
+#[test]
+fn corrupt_spool_file_fails_only_its_own_session() {
+    let spool = spool_dir("corrupt_spool");
+    let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
+    fleet.set_spool_dir(&spool).unwrap();
+    let key = fleet.register_base(bundle(), Precision::F32).unwrap();
+    let (victim, victim_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+    let (bystander, bystander_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+    fleet
+        .calibrate_session(victim, "user_move", &windows(3, 81))
+        .unwrap();
+    fleet
+        .calibrate_session(bystander, "user_move", &windows(3, 82))
+        .unwrap();
+
+    let probes = windows(3, 83);
+    let before = drain_replies(&mut fleet, bystander, &bystander_rx, &probes);
+    let path = spool.join(format!("session-{}.delta", victim.0));
+    let corruptions: [fn(&std::path::Path); 2] = [
+        // A flipped byte: the frame checksum no longer matches.
+        |path| {
+            let mut bytes = std::fs::read(path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(path, bytes).unwrap();
+        },
+        // A well-formed frame around bytes that are not a delta.
+        |path| magneto_core::storage::save_framed(b"{\"prototypes\":", path).unwrap(),
+    ];
+    for corrupt in corruptions {
+        // The victim stays paged after a failed rehydration.
+        fleet.page_out(victim).unwrap();
+        assert!(fleet.page_out(bystander).unwrap());
+        corrupt(&path);
+
+        fleet.submit(victim, probes[0].clone()).unwrap();
+        fleet.pump();
+        let reply = victim_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert!(reply.outcome.is_err(), "corrupt delta served: {reply:?}");
+
+        let after = drain_replies(&mut fleet, bystander, &bystander_rx, &probes);
+        for (a, b) in before.iter().zip(&after) {
+            assert_bit_identical(a, b);
+        }
+    }
+    assert_eq!(fleet.shard_stats()[0].panics_caught, 0);
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Each shard healing counter equals the sum of that field of
+/// `session_healing_stats` over the fleet's sessions.
+fn assert_shard_counters_match_sessions(fleet: &Fleet, ids: &[SessionId]) {
+    let sessions: Vec<magneto_core::HealingStats> = ids
+        .iter()
+        .map(|&id| fleet.session_healing_stats(id).unwrap().unwrap())
+        .collect();
+    let shards = fleet.shard_stats();
+    let sum = |f: fn(&magneto_core::HealingStats) -> u64| sessions.iter().map(f).sum::<u64>();
+    assert_eq!(
+        shards.iter().map(|s| s.drift_alerts).sum::<u64>(),
+        sum(|h| h.drift_alerts),
+        "drift_alerts"
+    );
+    assert_eq!(
+        shards.iter().map(|s| s.auto_recals).sum::<u64>(),
+        sum(|h| h.auto_recals),
+        "auto_recals"
+    );
+    assert_eq!(
+        shards.iter().map(|s| s.recal_rollbacks).sum::<u64>(),
+        sum(|h| h.recal_rollbacks),
+        "recal_rollbacks"
+    );
 }

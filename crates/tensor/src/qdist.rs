@@ -415,8 +415,8 @@ mod tests {
                 store.row_q(2),
                 store.row_q(3),
             );
-            for r in 0..4 {
-                assert_eq!(block[r], qdot_dispatch(Backend::Scalar, &q, store.row_q(r)));
+            for (r, &dot) in block.iter().enumerate() {
+                assert_eq!(dot, qdot_dispatch(Backend::Scalar, &q, store.row_q(r)));
             }
         }
     }

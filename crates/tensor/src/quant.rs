@@ -363,12 +363,12 @@ mod tests {
         let n = w.cols();
         let mut out = Matrix::zeros(m, n);
         for r in 0..m {
-            for c in 0..n {
+            for (c, (&w_scale, &b)) in w.scales().iter().zip(bias).enumerate() {
                 let mut acc = 0i32;
                 for kk in 0..k {
                     acc += i32::from(scratch.x_q[r * k + kk]) * i32::from(w.data()[kk * n + c]);
                 }
-                let v = act(acc as f32 * scratch.x_scales[r] * w.scales()[c] + bias[c]);
+                let v = act(acc as f32 * scratch.x_scales[r] * w_scale + b);
                 out.set(r, c, v);
             }
         }

@@ -76,7 +76,7 @@ fn main() {
     let sessions: Vec<_> = (0..USERS)
         .map(|_| {
             accounting.record_deploy(bundle_bytes);
-            let dev = EdgeDevice::deploy(bundle.clone(), edge_cfg.clone()).unwrap();
+            let dev = EdgeDevice::deploy(bundle.clone(), edge_cfg).unwrap();
             fleet.register(dev, key)
         })
         .collect();
@@ -125,9 +125,10 @@ fn main() {
             let ids = &ids;
             let traffic = &traffic;
             s.spawn(move || {
+                let users = (chunk * USERS / 4)..((chunk + 1) * USERS / 4);
                 for r in 0..ROUNDS {
-                    for u in (chunk * USERS / 4)..((chunk + 1) * USERS / 4) {
-                        submit_retrying(fleet, ids[u], &traffic[u][r]);
+                    for (&id, rounds) in ids[users.clone()].iter().zip(&traffic[users.clone()]) {
+                        submit_retrying(fleet, id, &rounds[r]);
                     }
                 }
             });
