@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all clippy lint-unsafe fmt bench bench-train bench-fleet bench-quant bench-fleet-scale bench-ncm bench-rollout bench-continual fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke chaos chaos-drift clean
+.PHONY: check build test test-all clippy lint-unsafe fmt bench bench-train bench-fleet bench-quant bench-fleet-scale bench-ncm bench-rollout bench-continual fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke chaos chaos-drift loc clean
 
 check: build test clippy lint-unsafe fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke
 
@@ -140,6 +140,20 @@ chaos: build
 # counters included).
 chaos-drift: build
 	$(CARGO) run --release -p magneto-bench --bin continual_smoke -- --drift-seeds 16
+
+# Non-test line count of crates/core/src and crates/fleet/src: the
+# lines of each .rs file above its first top-level `#[cfg(test)]`, per
+# crate and in total — the measure behind the net-lines-removed figures
+# in CHANGES.md.
+loc:
+	@total=0; \
+	for c in core fleet; do \
+		n=$$(find crates/$$c/src -name '*.rs' | sort | xargs awk \
+			'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'); \
+		echo "crates/$$c/src $$n"; \
+		total=$$((total + n)); \
+	done; \
+	echo "total $$total"
 
 clean:
 	$(CARGO) clean

@@ -308,15 +308,13 @@ impl EdgeBundle {
                     "support class `{label}` missing from registry"
                 )));
             }
-            if let Some(samples) = self.support_set.samples(label) {
-                if samples
-                    .iter()
-                    .any(|s| s.len() != self.pipeline.output_dim())
-                {
-                    return Err(CoreError::InvalidBundle(format!(
-                        "support samples for `{label}` have wrong dimension"
-                    )));
-                }
+        }
+        if let Some(dim) = self.support_set.dim() {
+            if dim != self.pipeline.output_dim() {
+                return Err(CoreError::InvalidBundle(format!(
+                    "support samples have {dim} features, pipeline produces {}",
+                    self.pipeline.output_dim()
+                )));
             }
         }
         Ok(())

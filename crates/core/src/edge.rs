@@ -16,7 +16,7 @@ use crate::inference::{
     infer_window, infer_windows, InferenceView, LatencyRecorder, LatencyStats, Prediction,
     SmoothedPrediction, StreamingSession,
 };
-use crate::precision::{Precision, QuantizedSupportSet, ResidentSupport};
+use crate::precision::Precision;
 use crate::privacy::PrivacyLedger;
 use crate::recalibrate::{HealingLoop, HealingStats, SelfHealingConfig};
 use crate::version::{Lineage, ModelVersion};
@@ -87,30 +87,18 @@ impl EdgeDevice {
     /// # Errors
     /// [`CoreError::InvalidBundle`] if the bundle fails validation.
     pub fn deploy(bundle: EdgeBundle, config: EdgeConfig) -> Result<Self> {
-        bundle.validate()?;
         let mut ledger = PrivacyLedger::edge_only();
         ledger.record_download(bundle.total_bytes(), "edge bundle (pipeline+model+support)");
-        // Convert to the policy precision before assembly: an int8 deploy
-        // keeps quantised weights AND a quantised support set resident
-        // (a quantised bundle model passes through untouched).
-        let model = bundle.model.into_precision(config.precision)?;
-        let support: ResidentSupport = match config.precision {
-            Precision::F32 => bundle.support_set.into(),
-            Precision::Int8 => QuantizedSupportSet::quantize(&bundle.support_set).into(),
-        };
-        let state = ModelState::assemble(
-            model,
-            support,
-            bundle.registry,
-            config.incremental.metric,
-        )?;
+        // An int8 deploy keeps quantised weights AND a quantised support
+        // set resident.
+        let (state, pipeline, lineage) =
+            ModelState::from_bundle(bundle, config.precision, config.incremental.metric)?;
         // The streaming session's entry guard repairs with the same
         // thresholds the pipeline's window guard uses, so the streaming
         // and batch paths degrade identically.
-        let guard = bundle.pipeline.config().guard;
-        let lineage = bundle.lineage;
+        let guard = pipeline.config().guard;
         let mut device = EdgeDevice {
-            pipeline: bundle.pipeline,
+            pipeline,
             lineage,
             session: StreamingSession::with_guard(
                 NUM_CHANNELS,
@@ -506,11 +494,7 @@ impl EdgeDevice {
         EdgeBundle {
             pipeline: self.pipeline.clone(),
             model: self.state.model.clone(),
-            support_set: self
-                .state
-                .support_set
-                .to_f32()
-                .expect("resident support set is non-empty by construction"),
+            support_set: self.state.support_set.clone().into_precision(Precision::F32),
             registry: self.state.registry.clone(),
             lineage: self.lineage,
         }
@@ -813,6 +797,26 @@ mod tests {
             Err(CoreError::UnknownClass(_))
         ));
         assert!(device_b.import_class(&received).is_err());
+    }
+
+    #[test]
+    fn ragged_class_pack_is_refused_at_both_precisions() {
+        // `ClassPack` has public fields and derives `Deserialize`, so a
+        // peer can send rows that disagree with its `feature_dim`.
+        let mut exemplars = vec![vec![0.5f32; 80]; 6];
+        exemplars.push(vec![0.5; 3]);
+        let pack = crate::sharing::ClassPack {
+            label: "gesture_hi".into(),
+            exemplars,
+            feature_dim: 80,
+        };
+        for precision in [Precision::F32, Precision::Int8] {
+            let mut device = deployed_device_at(33, precision);
+            let before = device.as_bundle().to_bytes(false);
+            assert!(device.import_class(&pack).is_err(), "{precision:?}");
+            assert_eq!(device.as_bundle().to_bytes(false), before, "{precision:?}");
+            assert_eq!(device.classes().len(), 5);
+        }
     }
 
     #[test]

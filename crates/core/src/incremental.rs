@@ -15,12 +15,16 @@
 //! that the data for the targeted activity within the support set is
 //! replaced with newly acquired data".
 
+use crate::bundle::EdgeBundle;
 use crate::embed::BatchEmbedder;
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
 use crate::ncm::NcmClassifier;
-use crate::precision::{Precision, ResidentModel, ResidentSupport};
+use crate::precision::{Precision, ResidentModel};
+use crate::support_set::SupportSet;
+use crate::version::Lineage;
 use crate::Result;
+use magneto_dsp::PreprocessingPipeline;
 use magneto_nn::trainer::{train_siamese_masked, TrainerConfig, TrainingReport};
 use magneto_nn::{Mlp, QuantizedSiamese};
 use magneto_tensor::vector::DistanceMetric;
@@ -275,7 +279,7 @@ pub struct ModelState {
     /// The embedding model at its resident precision.
     pub model: ResidentModel,
     /// Budgeted exemplar store at its resident precision.
-    pub support_set: ResidentSupport,
+    pub support_set: SupportSet,
     /// Class registry.
     pub registry: LabelRegistry,
     /// NCM classifier over current prototypes.
@@ -293,12 +297,11 @@ impl ModelState {
     /// Propagates embedding/classifier construction failures.
     pub fn assemble(
         model: impl Into<ResidentModel>,
-        support_set: impl Into<ResidentSupport>,
+        support_set: SupportSet,
         registry: LabelRegistry,
         metric: DistanceMetric,
     ) -> Result<Self> {
         let model = model.into();
-        let support_set = support_set.into();
         let ncm = build_ncm(&model, &support_set, metric)?;
         Ok(ModelState {
             model,
@@ -307,6 +310,27 @@ impl ModelState {
             ncm,
             teacher_buf: TeacherBuf::default(),
         })
+    }
+
+    /// Make a validated bundle resident at `precision` — the one path
+    /// behind `EdgeDevice::deploy` and the fleet's shared bases. Returns
+    /// the state with the bundle's pipeline and lineage.
+    ///
+    /// # Errors
+    /// Propagates validation, conversion and assembly failures.
+    pub fn from_bundle(
+        bundle: EdgeBundle,
+        precision: Precision,
+        metric: DistanceMetric,
+    ) -> Result<(Self, PreprocessingPipeline, Option<Lineage>)> {
+        bundle.validate()?;
+        let state = ModelState::assemble(
+            bundle.model.into_precision(precision)?,
+            bundle.support_set.into_precision(precision),
+            bundle.registry,
+            metric,
+        )?;
+        Ok((state, bundle.pipeline, bundle.lineage))
     }
 
     /// Recompute every class prototype in the current embedding space.
@@ -334,13 +358,13 @@ impl ModelState {
         let mut embeddings = Matrix::default();
         let mut attached = 0;
         for label in self.support_set.classes() {
-            if self.ncm.prototype(&label).is_none() {
+            if self.ncm.prototype(label).is_none() {
                 continue;
             }
             self.support_set
-                .class_features_into(&label, embedder.staging())?;
+                .class_features_into(label, embedder.staging())?;
             embedder.embed_staged(&self.model, &mut embeddings)?;
-            self.ncm.set_class_exemplars(&label, &embeddings)?;
+            self.ncm.set_class_exemplars(label, &embeddings)?;
             attached += embeddings.rows();
         }
         Ok(attached)
@@ -367,7 +391,7 @@ impl ModelState {
         let mut embedder = BatchEmbedder::new();
         let mut embeddings = Matrix::default();
         for label in self.support_set.classes() {
-            let Some(proto) = self.ncm.prototype(&label).map(<[f32]>::to_vec) else {
+            let Some(proto) = self.ncm.prototype(label).map(<[f32]>::to_vec) else {
                 continue;
             };
             // One batched forward per class; the embedder's staging matrix
@@ -375,7 +399,7 @@ impl ModelState {
             // measured through the resident model, so an int8 device
             // calibrates its threshold in the int8 embedding space.
             self.support_set
-                .class_features_into(&label, embedder.staging())?;
+                .class_features_into(label, embedder.staging())?;
             embedder.embed_staged(&self.model, &mut embeddings)?;
             for r in 0..embeddings.rows() {
                 dists.push(self.ncm.metric().eval(embeddings.row(r), &proto));
@@ -552,23 +576,16 @@ impl ModelState {
                     self.validate_update(&report, &support_set, label, &config.validation)?;
                 Ok((gate, report))
             });
-        match verdict {
-            Ok((None, report)) => Ok(UpdateOutcome::Committed(report)),
-            Ok((Some(reason), _)) => {
-                self.model = model;
-                self.support_set = support_set;
-                self.registry = registry;
-                self.ncm = ncm;
-                Ok(UpdateOutcome::RolledBack { reason })
-            }
-            Err(e) => {
-                self.model = model;
-                self.support_set = support_set;
-                self.registry = registry;
-                self.ncm = ncm;
-                Err(e)
-            }
-        }
+        let outcome = match verdict {
+            Ok((None, report)) => return Ok(UpdateOutcome::Committed(report)),
+            Ok((Some(reason), _)) => Ok(UpdateOutcome::RolledBack { reason }),
+            Err(e) => Err(e),
+        };
+        self.model = model;
+        self.support_set = support_set;
+        self.registry = registry;
+        self.ncm = ncm;
+        outcome
     }
 
     /// Post-training acceptance gates, in cost order. Returns the first
@@ -576,7 +593,7 @@ impl ModelState {
     fn validate_update(
         &self,
         report: &UpdateReport,
-        pre_support: &ResidentSupport,
+        pre_support: &SupportSet,
         target: &str,
         validation: &ValidationConfig,
     ) -> Result<Option<RollbackReason>> {
@@ -608,8 +625,7 @@ impl ModelState {
         // support exemplars (as they existed *before* the update),
         // classified through the new model and prototypes.
         if validation.self_accuracy_floor > 0.0 {
-            let classes = pre_support.classes();
-            let old_classes = classes.iter().map(String::as_str).filter(|l| *l != target);
+            let old_classes = pre_support.classes().into_iter().filter(|l| *l != target);
             let accuracy = self_accuracy(&self.model, &self.ncm, old_classes, |label, staging| {
                 pre_support.class_features_into(label, staging)?;
                 Ok(true)
@@ -666,7 +682,7 @@ pub fn self_accuracy<'l>(
 /// shared space.
 fn build_ncm(
     model: &ResidentModel,
-    support_set: &ResidentSupport,
+    support_set: &SupportSet,
     metric: DistanceMetric,
 ) -> Result<NcmClassifier> {
     let mut prototypes = Vec::with_capacity(support_set.num_classes());
@@ -676,10 +692,10 @@ fn build_ncm(
         // All of a class's exemplars go through the backbone as one
         // (n_exemplars, 80) batch, with staging/scratch buffers shared
         // across classes.
-        support_set.class_features_into(&label, embedder.staging())?;
+        support_set.class_features_into(label, embedder.staging())?;
         embedder.embed_staged(model, &mut embeddings)?;
         let prototype = embeddings.mean_rows()?;
-        prototypes.push((label, prototype));
+        prototypes.push((label.to_string(), prototype));
     }
     NcmClassifier::new(metric, prototypes)
 }
@@ -687,8 +703,7 @@ fn build_ncm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precision::QuantizedSupportSet;
-    use crate::support_set::{SelectionStrategy, SupportSet};
+    use crate::support_set::SelectionStrategy;
     use magneto_nn::SiameseNetwork;
 
     /// Features for class `c`: a Gaussian blob around distinct corners.
@@ -806,7 +821,7 @@ mod tests {
     fn int8_state(seed: u64) -> ModelState {
         let base = base_state(seed);
         let model = base.model.into_precision(Precision::Int8).unwrap();
-        let support = QuantizedSupportSet::quantize(&base.support_set.to_f32().unwrap());
+        let support = base.support_set.into_precision(Precision::Int8);
         ModelState::assemble(model, support, base.registry, DistanceMetric::Euclidean).unwrap()
     }
 
@@ -819,12 +834,12 @@ mod tests {
         for label in state.support_set.classes() {
             state
                 .support_set
-                .class_features_into(&label, embedder.staging())
+                .class_features_into(label, embedder.staging())
                 .unwrap();
             embedder.embed_staged(&state.model, &mut embeddings).unwrap();
             let expected = embeddings.mean_rows().unwrap();
             assert_eq!(
-                state.ncm.prototype(&label).unwrap(),
+                state.ncm.prototype(label).unwrap(),
                 expected.as_slice(),
                 "prototype for `{label}` must be the int8-model mean"
             );

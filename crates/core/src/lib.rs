@@ -72,7 +72,7 @@ pub use magneto_dsp::{GuardConfig, SignalQuality};
 pub use label::LabelRegistry;
 pub use metrics::ConfusionMatrix;
 pub use ncm::{NcmClassifier, NcmDecision, NcmScratch};
-pub use precision::{Precision, QuantizedSupportSet, ResidentModel, ResidentSupport};
+pub use precision::{Precision, ResidentModel};
 pub use privacy::PrivacyLedger;
 pub use recalibrate::{HealingLoop, HealingStats, Recalibrator, SelfHealingConfig};
 pub use sharing::ClassPack;

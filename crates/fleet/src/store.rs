@@ -37,7 +37,7 @@ use magneto_core::storage::{load_framed_versioned, save_framed_versioned};
 use magneto_core::{
     self_accuracy, stage_rows, BatchEmbedder, CoreError, EdgeBundle, EdgeDevice, HealingLoop,
     InferenceView, LabelRegistry, ModelVersion, NcmClassifier, PersonalDelta, Precision,
-    QuantizedSupportSet, ResidentModel, ResidentSupport, RollbackReason,
+    ResidentModel, RollbackReason,
 };
 use magneto_dsp::PreprocessingPipeline;
 use magneto_tensor::vector::DistanceMetric;
@@ -160,14 +160,15 @@ impl ReplayOutcome {
 }
 
 /// One immutable, refcounted base model: everything identical across all
-/// sessions deployed from one bundle at one precision. Assembled exactly
-/// like [`EdgeDevice::deploy`] assembles its resident state, so a delta
-/// session with an empty delta serves bit-identically to a device-backed
-/// session from the same bundle.
+/// sessions deployed from one bundle at one precision. Assembled by the
+/// same [`ModelState::from_bundle`] path as [`EdgeDevice::deploy`], so a
+/// delta session with an empty delta serves bit-identically to a
+/// device-backed session from the same bundle. The base keeps no support
+/// set: its prototypes are built at assembly, and migrate/recalibrate
+/// replay from the delta's own rows.
 pub struct SharedBase {
     pub(crate) pipeline: PreprocessingPipeline,
     pub(crate) model: magneto_core::ResidentModel,
-    pub(crate) support: ResidentSupport,
     pub(crate) registry: LabelRegistry,
     pub(crate) ncm: NcmClassifier,
     /// The bundle's model version (v0 for legacy bundles). Deltas
@@ -177,8 +178,7 @@ pub struct SharedBase {
 }
 
 impl SharedBase {
-    /// Assemble a shared base from a bundle at `precision`, mirroring
-    /// the [`EdgeDevice::deploy`] conversion path.
+    /// Assemble a shared base from a bundle at `precision`.
     ///
     /// # Errors
     /// Propagates bundle validation / precision conversion / assembly
@@ -188,20 +188,14 @@ impl SharedBase {
         precision: Precision,
         metric: DistanceMetric,
     ) -> magneto_core::Result<Self> {
-        bundle.validate()?;
-        let model = bundle.model.clone().into_precision(precision)?;
-        let support: ResidentSupport = match precision {
-            Precision::F32 => bundle.support_set.clone().into(),
-            Precision::Int8 => QuantizedSupportSet::quantize(&bundle.support_set).into(),
-        };
-        let state = ModelState::assemble(model, support, bundle.registry.clone(), metric)?;
+        let version = bundle.version();
+        let (state, pipeline, _) = ModelState::from_bundle(bundle.clone(), precision, metric)?;
         Ok(SharedBase {
-            pipeline: bundle.pipeline.clone(),
+            pipeline,
             model: state.model,
-            support: state.support_set,
             registry: state.registry,
             ncm: state.ncm,
-            version: bundle.version(),
+            version,
         })
     }
 
@@ -210,11 +204,10 @@ impl SharedBase {
         self.version
     }
 
-    /// Resident bytes of this base (model parameters + support set +
-    /// prototypes) — paid **once** per `(key, precision)`, however many
-    /// sessions share it.
+    /// Resident bytes of this base (model parameters + prototypes) — paid
+    /// **once** per `(key, precision)`, however many sessions share it.
     pub fn bytes(&self) -> usize {
-        self.model.resident_bytes() + self.support.bytes() + self.ncm.resident_bytes()
+        self.model.resident_bytes() + self.ncm.resident_bytes()
     }
 
     /// Class labels the base recognises.

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use magneto_core::{
         BundleSizeReport, CloudConfig, CloudInitializer, ConfusionMatrix, DriftMonitor,
         DriftStatus, EdgeBundle, EdgeConfig, EdgeDevice, HealingStats, LabelRegistry,
-        NcmClassifier, Precision, PrivacyLedger, QuantizedSupportSet, Recalibrator,
-        ResidentModel, ResidentSupport, SelectionStrategy, SelfHealingConfig, SupportSet,
+        NcmClassifier, Precision, PrivacyLedger, Recalibrator, ResidentModel, SelectionStrategy,
+        SelfHealingConfig, SupportSet,
     };
     pub use magneto_fleet::{Fleet, FleetConfig, FleetReply, ModelKey, SessionId, SubmitError};
     pub use magneto_platform::{
