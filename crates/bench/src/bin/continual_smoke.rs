@@ -22,7 +22,8 @@
 //! Alongside the gates it reports the standard continual-learning
 //! metrics — per-step accuracy matrix, forgetting, backward transfer —
 //! plus an open-set rejection-threshold sweep, all emitted as
-//! machine-readable `BENCH_continual.json`.
+//! machine-readable `BENCH_continual.json` (at the default seed count
+//! only).
 
 use magneto_bench::evaluate_device;
 use magneto_core::drift::DriftStatus;
@@ -94,6 +95,12 @@ struct ContinualReport {
     drift_predictions: u64,
     no_uplink: bool,
 }
+
+/// Seeds the `make check` sweep runs. Only a run at this count writes
+/// `BENCH_continual.json`; a wider sweep (`--drift-seeds N`) asserts the
+/// same gates without overwriting the committed report with
+/// sweep-sized counts.
+const DEFAULT_DRIFT_SEEDS: u64 = 2;
 
 fn write_report(report: &ContinualReport) {
     let json = serde_json::to_string_pretty(report).expect("serialize report");
@@ -509,7 +516,7 @@ fn main() {
             .position(|a| a == "--drift-seeds")
             .and_then(|i| args.get(i + 1))
             .map(|v| v.parse().expect("--drift-seeds takes an integer"))
-            .unwrap_or(2)
+            .unwrap_or(DEFAULT_DRIFT_SEEDS)
     };
 
     let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 70);
@@ -572,20 +579,24 @@ fn main() {
     let drift_predictions = drift_chaos_sweep(&bundle, drift_seeds);
     assert!(drift_predictions > 0, "drift-chaos sweep served nothing");
 
-    write_report(&ContinualReport {
-        bench: "continual_smoke".into(),
-        steps,
-        introduced_at,
-        forgetting,
-        backward_transfer,
-        open_set,
-        drift_recovery: recovery,
-        rollback_bundle_byte_identical: rollback_ok,
-        rollback_degraded_advisory: degraded,
-        drift_seeds,
-        drift_predictions,
-        no_uplink: true,
-    });
+    if drift_seeds == DEFAULT_DRIFT_SEEDS {
+        write_report(&ContinualReport {
+            bench: "continual_smoke".into(),
+            steps,
+            introduced_at,
+            forgetting,
+            backward_transfer,
+            open_set,
+            drift_recovery: recovery,
+            rollback_bundle_byte_identical: rollback_ok,
+            rollback_degraded_advisory: degraded,
+            drift_seeds,
+            drift_predictions,
+            no_uplink: true,
+        });
+    } else {
+        println!("BENCH_continual.json left as is: written only at {DEFAULT_DRIFT_SEEDS} seeds");
+    }
     println!(
         "continual_smoke OK: drift recovery within {MAX_ACCURACY_DROP} of pre-drift, \
          rollback byte-exact, no uplink, {drift_predictions} finite predictions \

@@ -18,7 +18,8 @@
 //!    bit-identically. `make check` sweeps 4 seeds; `make chaos` runs
 //!    the same binary with `--chaos-seeds 32`.
 //!
-//! Emits machine-readable `BENCH_fault.json` in the working directory.
+//! Emits machine-readable `BENCH_fault.json` in the working directory
+//! (at the default seed count only).
 
 use magneto_core::storage::{journal_path, load_bundle, save_bundle};
 use magneto_core::{
@@ -54,6 +55,12 @@ struct FaultReport {
     chaos_seeds: u64,
     chaos_predictions: u64,
 }
+
+/// Seeds the `make check` sweep runs. Only a run at this count writes
+/// `BENCH_fault.json`; a wider sweep (`--chaos-seeds N`) asserts the
+/// same gates without overwriting the committed report with
+/// sweep-sized counts.
+const DEFAULT_CHAOS_SEEDS: u64 = 4;
 
 fn write_report(report: &FaultReport) {
     let json = serde_json::to_string_pretty(report).expect("serialize report");
@@ -226,7 +233,7 @@ fn main() {
             .position(|a| a == "--chaos-seeds")
             .and_then(|i| args.get(i + 1))
             .map(|v| v.parse().expect("--chaos-seeds takes an integer"))
-            .unwrap_or(4)
+            .unwrap_or(DEFAULT_CHAOS_SEEDS)
     };
 
     let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 5);
@@ -289,15 +296,19 @@ fn main() {
     let chaos_predictions = chaos_sweep(&bundle, chaos_seeds);
     assert!(chaos_predictions > 0, "chaos sweep served nothing");
 
-    write_report(&FaultReport {
-        bench: "fault_smoke".into(),
-        drop_sweep,
-        rollback_bundle_byte_identical: rollback_ok,
-        torn_journal_recovers_old: torn_ok,
-        complete_journal_rolls_forward: complete_ok,
-        chaos_seeds,
-        chaos_predictions,
-    });
+    if chaos_seeds == DEFAULT_CHAOS_SEEDS {
+        write_report(&FaultReport {
+            bench: "fault_smoke".into(),
+            drop_sweep,
+            rollback_bundle_byte_identical: rollback_ok,
+            torn_journal_recovers_old: torn_ok,
+            complete_journal_rolls_forward: complete_ok,
+            chaos_seeds,
+            chaos_predictions,
+        });
+    } else {
+        println!("BENCH_fault.json left as is: written only at {DEFAULT_CHAOS_SEEDS} seeds");
+    }
     println!(
         "fault_smoke OK: rollback byte-exact, crash-save old/new safe, \
          {chaos_predictions} finite predictions across {chaos_seeds} chaos seeds"

@@ -136,9 +136,7 @@ impl EdgeDevice {
         let baseline = self
             .state
             .rejection_threshold(config.baseline_percentile, 1.0)?;
-        let healing = HealingLoop::new(config, Some(baseline))?;
-        self.session.set_retain_windows(true);
-        self.healing = Some(healing);
+        self.healing = Some(HealingLoop::new(config, Some(baseline))?);
         Ok(())
     }
 
@@ -146,7 +144,6 @@ impl EdgeDevice {
     /// predictions; no further automatic recalibration).
     pub fn disable_self_healing(&mut self) {
         self.healing = None;
-        self.session.set_retain_windows(false);
     }
 
     /// Current drift status, when self-healing is enabled.
@@ -278,7 +275,7 @@ impl EdgeDevice {
         )?;
         if let Some(p) = &mut out {
             self.latency.record(p.raw.latency);
-            self.self_heal(std::slice::from_mut(p))?;
+            self.self_heal(std::slice::from_mut(p));
         }
         Ok(out)
     }
@@ -301,7 +298,7 @@ impl EdgeDevice {
         for p in &out {
             self.latency.record(p.raw.latency);
         }
-        self.self_heal(&mut out)?;
+        self.self_heal(&mut out);
         Ok(out)
     }
 
@@ -309,20 +306,17 @@ impl EdgeDevice {
     /// completed window's nearest-prototype distance, stamp the drift
     /// status onto the prediction, harvest confident nominal windows as
     /// calibration evidence, and — on sustained drift past hysteresis
-    /// and cooldown — attempt a transactional recalibration.
-    fn self_heal(&mut self, preds: &mut [SmoothedPrediction]) -> Result<()> {
+    /// and cooldown — attempt a transactional recalibration. `preds` are
+    /// the predictions of the session's last push, so prediction `r`'s
+    /// evidence is row `r` of the session's staged features.
+    fn self_heal(&mut self, preds: &mut [SmoothedPrediction]) {
         let Some(healing) = self.healing.as_mut() else {
-            return Ok(());
+            return;
         };
-        let windows = self.session.take_retained();
-        let pipeline = &self.pipeline;
+        let staged = self.session.staged_features();
         let mut fire = false;
-        for (p, window) in preds.iter_mut().zip(&windows) {
-            fire |= healing.observe(&mut p.raw, || {
-                let mut row = vec![0.0f32; pipeline.output_dim()];
-                pipeline.process_into(window, &mut row)?;
-                Ok::<_, CoreError>(Some(row))
-            })?;
+        for (r, p) in preds.iter_mut().enumerate() {
+            fire |= healing.observe(&mut p.raw, staged.row(r));
         }
         if fire {
             // Automatic recalibration runs through the same transactional
@@ -338,7 +332,6 @@ impl EdgeDevice {
             });
             self.healing = Some(healing);
         }
-        Ok(())
     }
 
     /// Reset the streaming session (activity boundary in the UI).
@@ -1029,6 +1022,71 @@ mod tests {
             "sustained drift never triggered an attempt: {stats:?}"
         );
         device.privacy_ledger().assert_no_uplink();
+    }
+
+    #[test]
+    fn healing_harvests_the_feature_rows_inference_staged() {
+        // Each harvested row must be its window's own pipeline row, bit
+        // for bit, however the stream arrives: frame by frame, one window
+        // per push, or a backlog of several windows in one push. No
+        // attempt may fire (it would clear the harvest).
+        let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 61);
+        let (bundle, _) = CloudInitializer::new(CloudConfig::fast_demo())
+            .pretrain(&corpus)
+            .unwrap();
+        let config = EdgeConfig {
+            healing: Some(SelfHealingConfig {
+                min_confidence: 0.0,
+                max_harvest: 64,
+                hysteresis: 1_000,
+                ..SelfHealingConfig::default()
+            }),
+            ..EdgeConfig::default()
+        };
+        let mut frames = walk_frames(120 * 10, 62);
+        // Window 4 carries a repaired frame: served, never harvested.
+        frames[4 * 120 + 60].values[3] = f32::NAN;
+        let window = |k: usize| -> Vec<Vec<f32>> {
+            (0..NUM_CHANNELS)
+                .map(|c| frames[k * 120..(k + 1) * 120].iter().map(|f| f.values[c]).collect())
+                .collect()
+        };
+        type Feed = fn(&mut EdgeDevice, &[SensorFrame]) -> Vec<SmoothedPrediction>;
+        let feeds: [Feed; 3] = [
+            |d, f| f.iter().filter_map(|x| d.push_frame(x).unwrap()).collect(),
+            |d, f| f.chunks(120).flat_map(|c| d.push_frames(c).unwrap()).collect(),
+            |d, f| f.chunks(120 * 4).flat_map(|c| d.push_frames(c).unwrap()).collect(),
+        ];
+        let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for (way, feed) in feeds.iter().enumerate() {
+            let mut device = EdgeDevice::deploy(bundle.clone(), config).unwrap();
+            let preds = feed(&mut device, &frames);
+            assert_eq!(preds.len(), 10, "way {way}");
+            let mut expected: std::collections::HashMap<String, Vec<Vec<f32>>> =
+                std::collections::HashMap::new();
+            for (k, p) in preds.iter().enumerate() {
+                assert_eq!(p.raw.quality.is_degraded(), k == 4, "way {way} window {k}");
+                if k != 4 {
+                    let mut row = vec![0.0f32; device.pipeline.output_dim()];
+                    device.pipeline.process_into(&window(k), &mut row).unwrap();
+                    expected.entry(p.raw.label.clone()).or_default().push(row);
+                }
+            }
+            let healing = device.healing.as_ref().unwrap();
+            let stats = healing.stats();
+            assert_eq!(stats.auto_recals + stats.recal_rollbacks, 0, "way {way}");
+            for label in device.classes() {
+                let want = expected.remove(&label).unwrap_or_default();
+                assert_eq!(
+                    bits(healing.harvested(&label)),
+                    bits(&want),
+                    "way {way} label {label}"
+                );
+            }
+            assert!(expected.is_empty(), "way {way}: unknown labels {expected:?}");
+        }
     }
 
     #[test]

@@ -77,7 +77,17 @@ impl BatchEmbedder {
         &mut self.features
     }
 
-    /// Embed whatever is currently staged in [`staging`](Self::staging).
+    /// The staged feature rows, as the last batch left them: after
+    /// [`crate::infer_batch`], row `r` holds job `r`'s normalised
+    /// features (embedding reads the staging matrix, never writes it).
+    /// The self-healing harvest reads its evidence here instead of
+    /// featurising the window a second time.
+    pub fn staged(&self) -> &Matrix {
+        &self.features
+    }
+
+    /// Embed whatever is currently staged in [`staging`](Self::staging);
+    /// the staged rows are left as they are.
     ///
     /// # Errors
     /// Shape mismatch on malformed staged input.
@@ -197,6 +207,10 @@ mod tests {
             }
             embedder.embed_staged(&model, &mut out).unwrap();
             assert_eq!(out.shape(), (4, 4));
+            // Embedding leaves the staged rows readable as they were.
+            let staged = embedder.staged();
+            assert_eq!(staged.shape(), (4, 6));
+            assert!((0..4).all(|r| staged.row(r).iter().all(|&v| v == round as f32 * 0.1)));
         }
     }
 }

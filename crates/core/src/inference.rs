@@ -8,6 +8,12 @@
 //! path with latency instrumentation, plus a streaming session that
 //! segments a live sensor stream and majority-vote-smooths the label
 //! sequence for the UI.
+//!
+//! Every streamed window runs the batched path, as a batch of one when
+//! it arrives alone, so its normalised feature row stays staged in the
+//! session's [`BatchEmbedder`] after inference. The self-healing harvest
+//! reads that row ([`StreamingSession::staged_features`]) rather than
+//! featurising the window again: each window is featurised once.
 
 use crate::drift::DriftStatus;
 use crate::embed::BatchEmbedder;
@@ -284,11 +290,6 @@ pub struct StreamingSession {
     /// Samples repaired since the current window started filling.
     faults_in_window: usize,
     degraded_windows: u64,
-    /// When enabled, completed (scrubbed) windows are kept until
-    /// [`take_retained`](Self::take_retained) — the hook a self-healing
-    /// policy uses to harvest evidence without re-segmenting the stream.
-    retain_windows: bool,
-    retained: Vec<Vec<Vec<f32>>>,
 }
 
 /// A smoothed streaming prediction.
@@ -329,26 +330,13 @@ impl StreamingSession {
             scrub_buf: Vec::with_capacity(channels),
             faults_in_window: 0,
             degraded_windows: 0,
-            retain_windows: false,
-            retained: Vec::new(),
         }
     }
 
-    /// Enable or disable retention of completed windows (see
-    /// [`take_retained`](Self::take_retained)). Disabling drops anything
-    /// currently held.
-    pub fn set_retain_windows(&mut self, retain: bool) {
-        self.retain_windows = retain;
-        if !retain {
-            self.retained.clear();
-        }
-    }
-
-    /// Drain the windows completed since the last call (emission order).
-    /// Empty unless [`set_retain_windows`](Self::set_retain_windows) is
-    /// on.
-    pub fn take_retained(&mut self) -> Vec<Vec<Vec<f32>>> {
-        std::mem::take(&mut self.retained)
+    /// The feature rows of the last push that completed a window: row
+    /// `r` is the normalised features of that push's `r`-th prediction.
+    pub(crate) fn staged_features(&self) -> &Matrix {
+        self.embedder.staged()
     }
 
     /// Scrub one incoming sample through the guard (copy-on-write into
@@ -366,9 +354,6 @@ impl StreamingSession {
             SignalQuality::Nominal
         };
         self.faults_in_window = 0;
-        if self.retain_windows {
-            self.retained.push(window.clone());
-        }
         Some((window, quality))
     }
 
@@ -376,7 +361,9 @@ impl StreamingSession {
     /// returns the smoothed prediction. Non-finite or out-of-range
     /// values are repaired at entry (last-good-value hold per channel);
     /// a window containing any repaired sample is flagged
-    /// [`SignalQuality::Degraded`] on its prediction.
+    /// [`SignalQuality::Degraded`] on its prediction. A completed
+    /// window runs the batched path as a batch of one
+    /// ([`push_samples`](Self::push_samples)).
     ///
     /// # Errors
     /// Propagates inference errors on completed windows.
@@ -387,12 +374,9 @@ impl StreamingSession {
         model: &ResidentModel,
         ncm: &NcmClassifier,
     ) -> Result<Option<SmoothedPrediction>> {
-        let Some((window, quality)) = self.push_scrubbed(sample) else {
-            return Ok(None);
-        };
-        let mut raw = infer_window(pipeline, model, ncm, &window)?;
-        raw.quality = raw.quality.merge(quality);
-        Ok(Some(self.smooth(raw)))
+        Ok(self
+            .push_samples(std::slice::from_ref(&sample), pipeline, model, ncm)?
+            .pop())
     }
 
     /// Push a backlog of raw samples at once — e.g. sensor data buffered
@@ -477,7 +461,6 @@ impl StreamingSession {
         self.history.clear();
         self.guard.reset_hold();
         self.faults_in_window = 0;
-        self.retained.clear();
     }
 }
 

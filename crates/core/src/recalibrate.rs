@@ -13,7 +13,9 @@
 //! * **Evidence harvesting** — recent windows whose prediction was
 //!   confident and whose signal was nominal are buffered (as pipeline
 //!   feature rows, never raw sensor data) per predicted label; the label
-//!   with the most evidence becomes the calibration candidate.
+//!   with the most evidence becomes the calibration candidate. The row
+//!   is the one inference already staged for the window, so a harvested
+//!   window is featurised once, not twice.
 //! * **Strikes** — every rolled-back attempt is a strike. At
 //!   `max_strikes` the policy stops attempting and degrades to
 //!   "recalibration advised": the honest fallback when self-healing
@@ -22,7 +24,8 @@
 //!
 //! [`HealingLoop`] wraps the policy together with the drift monitor and
 //! the live-baseline estimate: the one loop both [`crate::EdgeDevice`]
-//! and a fleet's delta sessions drive, one served window at a time. The
+//! and a fleet's delta sessions drive, one served window at a time,
+//! each passing the window's row of [`crate::BatchEmbedder::staged`]. The
 //! loop itself never touches the model: its owner passes a commit
 //! closure to [`HealingLoop::attempt`] (`update_transactional` on a
 //! device, the delta commit path in a fleet), so every automatic
@@ -234,8 +237,9 @@ impl Recalibrator {
     }
 
     /// Offer one window's evidence for harvesting. Only confident,
-    /// nominal-quality windows are kept; the buffer per label is bounded
-    /// (oldest evicted) so memory never grows with stream length.
+    /// nominal-quality windows are kept (the row is copied only then);
+    /// the buffer per label is bounded (oldest evicted) so memory never
+    /// grows with stream length.
     pub fn offer(
         &mut self,
         label: &str,
@@ -243,23 +247,14 @@ impl Recalibrator {
         confidence: f32,
         quality: SignalQuality,
     ) {
-        if self.accepts(confidence, quality) {
-            self.harvest_row(label, features.to_vec());
+        if self.stats.degraded || confidence < self.config.min_confidence || quality.is_degraded() {
+            return;
         }
-    }
-
-    /// Whether a window with this confidence and quality would be
-    /// harvested.
-    fn accepts(&self, confidence: f32, quality: SignalQuality) -> bool {
-        !self.stats.degraded && confidence >= self.config.min_confidence && !quality.is_degraded()
-    }
-
-    fn harvest_row(&mut self, label: &str, row: Vec<f32>) {
         let rows = self.harvest.entry(label.to_string()).or_default();
         if rows.len() == self.config.max_harvest {
             rows.remove(0);
         }
-        rows.push(row);
+        rows.push(features.to_vec());
     }
 
     /// The current calibration candidate: the label with the most
@@ -302,9 +297,10 @@ impl Recalibrator {
         self.stats.degraded
     }
 
-    /// Harvested window count per label (diagnostics).
-    pub fn harvested(&self, label: &str) -> usize {
-        self.harvest.get(label).map_or(0, Vec::len)
+    /// The feature rows harvested for `label`, oldest first
+    /// (diagnostics).
+    pub fn harvested(&self, label: &str) -> &[Vec<f32>] {
+        self.harvest.get(label).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -367,32 +363,26 @@ impl HealingLoop {
         self.recal.stats()
     }
 
+    /// The feature rows harvested for `label` since the last attempt,
+    /// oldest first (see [`Recalibrator::harvested`]).
+    pub fn harvested(&self, label: &str) -> &[Vec<f32>] {
+        self.recal.harvested(label)
+    }
+
     /// Observe one served window: feed its nearest-prototype distance to
     /// the baseline estimate and the monitor, stamp the drift status on
-    /// `pred`, and harvest the window as evidence when the policy would
-    /// keep it. `featurize` is called only for such windows and returns
-    /// the window's pipeline feature row (`None` to skip it). Returns
-    /// `true` when a recalibration [`attempt`](Self::attempt) should
-    /// fire.
-    ///
-    /// # Errors
-    /// Whatever `featurize` returns; the window is then not counted by
-    /// the policy.
-    pub fn observe<E>(
-        &mut self,
-        pred: &mut Prediction,
-        featurize: impl FnOnce() -> std::result::Result<Option<Vec<f32>>, E>,
-    ) -> std::result::Result<bool, E> {
+    /// `pred`, and harvest `features` — the window's normalised pipeline
+    /// row, as inference staged it — when the policy would keep the
+    /// window. Returns `true` when a recalibration
+    /// [`attempt`](Self::attempt) should fire.
+    pub fn observe(&mut self, pred: &mut Prediction, features: &[f32]) -> bool {
         let nearest = pred.distances.iter().copied().fold(f32::INFINITY, f32::min);
         self.estimate_baseline(nearest);
         let status = self.monitor.observe(nearest);
         pred.drift = Some(status);
-        if self.recal.accepts(pred.confidence, pred.quality) {
-            if let Some(row) = featurize()? {
-                self.recal.harvest_row(&pred.label, row);
-            }
-        }
-        Ok(self.recal.observe(status))
+        self.recal
+            .offer(&pred.label, features, pred.confidence, pred.quality);
+        self.recal.observe(status)
     }
 
     /// Run one recalibration attempt on the current candidate, if any.
@@ -528,7 +518,7 @@ mod tests {
             assert!(!r.observe(drifted()));
         }
         r.offer("walk", &[1.0], 0.9, SignalQuality::Nominal);
-        assert_eq!(r.harvested("walk"), 0);
+        assert_eq!(r.harvested("walk").len(), 0);
     }
 
     #[test]
@@ -551,7 +541,7 @@ mod tests {
         assert_eq!(s.auto_recals, 1);
         assert_eq!(s.recal_rollbacks, 1);
         assert!(!s.degraded);
-        assert_eq!(r.harvested("walk"), 0);
+        assert_eq!(r.harvested("walk").len(), 0);
     }
 
     #[test]
@@ -566,13 +556,13 @@ mod tests {
         // Low confidence and degraded quality are both refused.
         r.offer("walk", &[1.0], 0.4, SignalQuality::Nominal);
         r.offer("walk", &[1.0], 0.9, SignalQuality::Degraded);
-        assert_eq!(r.harvested("walk"), 0);
+        assert_eq!(r.harvested("walk").len(), 0);
         assert!(r.candidate().is_none());
         // The buffer is bounded at max_harvest; oldest rows evicted.
         for i in 0..10 {
             r.offer("walk", &[i as f32], 0.9, SignalQuality::Nominal);
         }
-        assert_eq!(r.harvested("walk"), 4);
+        assert_eq!(r.harvested("walk").len(), 4);
         let (label, rows) = r.candidate().unwrap();
         assert_eq!(label, "walk");
         assert_eq!(rows.len(), 4);
@@ -596,8 +586,7 @@ mod tests {
     fn feed(heal: &mut HealingLoop, nearest: f32, n: usize) {
         for _ in 0..n {
             let mut pred = prediction(nearest);
-            let fired = heal.observe(&mut pred, || Ok::<_, CoreError>(Some(vec![nearest])));
-            assert!(!fired.unwrap());
+            assert!(!heal.observe(&mut pred, &[nearest]));
             assert!(pred.drift.is_some(), "drift status not stamped");
         }
     }
@@ -673,17 +662,19 @@ mod tests {
     }
 
     #[test]
-    fn observe_propagates_featurize_errors_and_skips_ineligible_windows() {
+    fn observe_skips_ineligible_windows() {
         let mut heal = HealingLoop::new(loop_config(), None).unwrap();
         let mut pred = prediction(1.0);
-        let err = heal.observe(&mut pred, || Err::<Option<Vec<f32>>, _>("bad window"));
-        assert_eq!(err, Err("bad window"));
-        let mut pred = prediction(1.0);
         pred.quality = SignalQuality::Degraded;
-        let fired = heal.observe(&mut pred, || -> std::result::Result<_, CoreError> {
-            panic!("degraded windows are not featurized")
-        });
-        assert!(!fired.unwrap());
+        assert!(!heal.observe(&mut pred, &[1.0]));
+        let mut pred = prediction(1.0);
+        pred.confidence = 0.0;
+        assert!(!heal.observe(&mut pred, &[1.0]));
+        assert!(pred.drift.is_some(), "drift status not stamped");
+        assert_eq!(heal.harvested("walk").len(), 0, "ineligible window harvested");
+        let mut pred = prediction(1.0);
+        assert!(!heal.observe(&mut pred, &[1.0]));
+        assert_eq!(heal.harvested("walk").len(), 1);
     }
 
     #[test]

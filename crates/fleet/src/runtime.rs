@@ -17,7 +17,6 @@ use magneto_core::{
 };
 use magneto_tensor::vector::DistanceMetric;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::convert::Infallible;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1023,9 +1022,10 @@ fn run_windows(
 }
 
 /// The fleet-side self-healing step for one served window: the
-/// session's [`HealingLoop`] observes the reply (harvesting through the
-/// shared base's pipeline), and on sustained drift attempts a
-/// recalibration through the store's commit path
+/// session's [`HealingLoop`] observes the reply (harvesting `features`,
+/// the window's row of the batch the drainer's embedder just staged),
+/// and on sustained drift attempts a recalibration through the store's
+/// commit path
 /// ([`SessionStore::recalibrate_delta`], gated at the replay
 /// self-accuracy floor). The shard counters add what the loop counted.
 /// A no-op unless [`FleetConfig::healing`] is set and the session is a
@@ -1035,23 +1035,17 @@ fn heal_session(
     shard: &Shard,
     sessions: &mut SessionStore,
     req: &Request,
+    features: &[f32],
     pred: &mut magneto_core::Prediction,
 ) {
     let Some(entry) = sessions.get_mut(req.session) else {
         return;
     };
-    let (SessionModel::Delta(ds), Some(heal)) = (&entry.model, entry.healing.as_mut()) else {
+    let (SessionModel::Delta(_), Some(heal)) = (&entry.model, entry.healing.as_mut()) else {
         return;
     };
     let before = heal.stats();
-    let pipeline = &ds.base.pipeline;
-    // A window that fails featurization is simply not harvested.
-    let Ok(fire) = heal.observe(pred, || {
-        let mut row = vec![0.0f32; pipeline.output_dim()];
-        let ok = pipeline.process_checked_into(&req.window, &mut row).is_ok();
-        Ok::<_, Infallible>(ok.then_some(row))
-    });
-    let after = if fire {
+    let after = if heal.observe(pred, features) {
         // The commit path needs the whole store: lift the loop off its
         // entry for the attempt.
         let mut heal = entry.healing.take().expect("matched above");
@@ -1214,9 +1208,13 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
 
             match outcome {
                 Ok(preds) => {
-                    for (&i, mut pred) in indices.iter().zip(preds) {
-                        heal_session(inner, shard, &mut sessions, &popped[i], &mut pred);
-                        reply_to(&mut sessions, &popped[i], Ok(pred));
+                    // Job `r` of the group is window `indices[r]`; its
+                    // features are row `r` of the staged batch.
+                    let staged = embedder.staged();
+                    for (r, (&i, mut pred)) in indices.iter().zip(preds).enumerate() {
+                        let req = &popped[i];
+                        heal_session(inner, shard, &mut sessions, req, staged.row(r), &mut pred);
+                        reply_to(&mut sessions, req, Ok(pred));
                     }
                 }
                 Err(e) => {
@@ -1267,4 +1265,91 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
     }
     inner.global_inflight.fetch_sub(popped.len(), Ordering::AcqRel);
     popped.len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use magneto_core::{CloudConfig, CloudInitializer, SelfHealingConfig};
+    use magneto_sensors::pool::StreamPool;
+    use magneto_sensors::stream::StreamConfig;
+    use magneto_sensors::{ActivityKind, GeneratorConfig, SensorDataset};
+
+    #[test]
+    fn each_group_harvests_its_own_staged_rows() {
+        // Sessions on an f32 and an int8 base submit interleaved, so one
+        // drain cycle pops two groups whose windows alternate in pop
+        // order. A window's staged row is its position in its group, not
+        // in the cycle: each session must harvest exactly the checked
+        // pipeline rows of its own windows. No attempt may fire (it
+        // would clear the harvest).
+        let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 1);
+        let bundle = CloudInitializer::new(CloudConfig::fast_demo())
+            .pretrain(&corpus)
+            .unwrap()
+            .0;
+        let mut fleet = Fleet::new(FleetConfig {
+            healing: Some(SelfHealingConfig {
+                min_confidence: 0.0,
+                max_harvest: 64,
+                hysteresis: 1_000,
+                ..SelfHealingConfig::default()
+            }),
+            ..FleetConfig::deterministic()
+        })
+        .unwrap();
+        let sessions: Vec<_> = [Precision::F32, Precision::Int8, Precision::F32, Precision::Int8]
+            .into_iter()
+            .map(|precision| {
+                let key = fleet.register_base(&bundle, precision).unwrap();
+                fleet.register_from_base(key, precision).unwrap()
+            })
+            .collect();
+        let mut pool = StreamPool::new(
+            sessions.len(),
+            &ActivityKind::BASE_FIVE,
+            120,
+            StreamConfig::ideal(),
+            7,
+        );
+        let rounds: Vec<_> = (0..6).map(|_| pool.next_round()).collect();
+        for round in &rounds {
+            for ((id, _), window) in sessions.iter().zip(round) {
+                fleet.submit(*id, window.clone()).unwrap();
+            }
+        }
+        assert_eq!(fleet.pump(), 24);
+        let stats = &fleet.shard_stats()[0];
+        assert_eq!((stats.batches, stats.windows_f32, stats.windows_int8), (2, 12, 12));
+
+        let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let store = lock_unpoisoned(&fleet.inner.shards[0].sessions);
+        let mut harvested = 0;
+        for (s, (id, rx)) in sessions.iter().enumerate() {
+            let mut expected: HashMap<String, Vec<Vec<f32>>> = HashMap::new();
+            for round in &rounds {
+                let pred = rx.try_recv().unwrap().outcome.unwrap();
+                let mut row = vec![0.0f32; bundle.pipeline.output_dim()];
+                let quality = bundle.pipeline.process_checked_into(&round[s], &mut row).unwrap();
+                assert_eq!(quality, pred.quality);
+                if !quality.is_degraded() {
+                    expected.entry(pred.label).or_default().push(row);
+                }
+            }
+            let heal = store.get(id.0).unwrap().healing.as_deref().unwrap();
+            let st = heal.stats();
+            assert_eq!(st.auto_recals + st.recal_rollbacks, 0, "{id}");
+            for label in bundle.registry.labels() {
+                let want = expected.remove(label).unwrap_or_default();
+                harvested += want.len();
+                assert_eq!(bits(heal.harvested(label)), bits(&want), "{id} label {label}");
+            }
+            assert!(expected.is_empty(), "{id}: labels outside the base {expected:?}");
+        }
+        assert_eq!(harvested, 24, "every clean window is harvested");
+        drop(store);
+        fleet.shutdown();
+    }
 }

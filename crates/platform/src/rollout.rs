@@ -622,6 +622,7 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn partition_covers_every_session() {
@@ -702,5 +703,71 @@ mod tests {
         assert_eq!(id.apply(&base).unwrap(), base);
         // Non-bundle input is rejected structurally.
         assert!(BundleDiff::between(b"nope", &target).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The base image on a device and a downlinked diff are both
+        /// untrusted: no bit flip or truncation of either may panic
+        /// `apply`, and every corruption is refused rather than patched
+        /// into a wrong target.
+        #[test]
+        fn apply_never_panics_on_flips_or_truncation(
+            pos in any::<u64>(),
+            bit in 0u8..8,
+            cut in any::<u64>(),
+            keep in any::<u32>(),
+        ) {
+            let base = fake_bundle(&[b"pipeline", &[7u8; 300], b"registry-v1"]);
+            let target = fake_bundle(&[b"pipeline", &[7u8; 300], b"registry-v2", b"lineage"]);
+            let diff = BundleDiff::between(&base, &target).unwrap();
+            prop_assert_eq!(diff.apply(&base).unwrap(), target);
+            let at = |len: usize| (pos % len as u64) as usize;
+            let upto = |len: usize| (cut % len as u64) as usize;
+
+            // Corrupt base: flipped or truncated.
+            let mut flipped = base.clone();
+            flipped[at(base.len())] ^= 1 << bit;
+            prop_assert!(diff.apply(&flipped).is_err());
+            prop_assert!(diff.apply(&base[..upto(base.len())]).is_err());
+
+            // Corrupt diff: a flipped endpoint hash or header byte, a
+            // flipped or truncated shipped section, a reference to any
+            // base section index.
+            let mut bad = diff.clone();
+            bad.base_hash ^= 1 << (pos % 64);
+            prop_assert!(bad.apply(&base).is_err());
+            let mut bad = diff.clone();
+            bad.target_hash ^= 1 << (pos % 64);
+            prop_assert!(bad.apply(&base).is_err());
+            let mut bad = diff.clone();
+            let len = bad.header.len();
+            bad.header[at(len)] ^= 1 << bit;
+            prop_assert!(bad.apply(&base).is_err());
+            let mut bad = diff.clone();
+            bad.header.truncate(upto(len));
+            prop_assert!(bad.apply(&base).is_err());
+            for op in 0..diff.ops.len() {
+                let mut bad = diff.clone();
+                let refused = match &mut bad.ops[op] {
+                    DiffOp::Replace(bytes) if bit % 2 == 0 => {
+                        let len = bytes.len();
+                        bytes[at(len)] ^= 1 << bit;
+                        true
+                    }
+                    DiffOp::Replace(bytes) => {
+                        bytes.truncate(upto(bytes.len()));
+                        true
+                    }
+                    DiffOp::Keep(i) => {
+                        let same = *i == keep;
+                        *i = keep;
+                        !same
+                    }
+                };
+                prop_assert_eq!(bad.apply(&base).is_err(), refused, "op {}", op);
+            }
+        }
     }
 }

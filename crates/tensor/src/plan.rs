@@ -470,6 +470,40 @@ fn dense_matrix(rows: usize, cols: usize, rng: &mut SeededRng) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A cached plan file is untrusted bytes: no bit flip or
+        /// truncation may panic the parser, a truncated plan never
+        /// parses, and any plan a flip still parses to is sanitized and
+        /// round-trips through `to_json`.
+        #[test]
+        fn from_json_never_panics_on_flips_or_truncation(
+            pos in any::<u64>(),
+            bit in 0u8..8,
+            cut in any::<u64>(),
+        ) {
+            let good = KernelPlan {
+                threads: 4,
+                tiled_min_rows: 24,
+                panel_k: 512,
+                par_min_rows: 128,
+                ..KernelPlan::inline()
+            }
+            .to_json()
+            .into_bytes();
+            let mut flipped = good.clone();
+            flipped[(pos % good.len() as u64) as usize] ^= 1 << bit;
+            if let Ok(plan) = KernelPlan::from_json(&String::from_utf8_lossy(&flipped)) {
+                prop_assert_eq!(plan, plan.sanitized());
+                prop_assert_eq!(KernelPlan::from_json(&plan.to_json()).unwrap(), plan);
+            }
+            let cut = (cut % good.len() as u64) as usize;
+            prop_assert!(KernelPlan::from_json(&String::from_utf8_lossy(&good[..cut])).is_err());
+        }
+    }
 
     #[test]
     fn inline_plan_matches_pr1_constants() {
