@@ -60,7 +60,10 @@ fn bench_distilled_step(c: &mut Criterion) {
     let (features, labels) = feature_blob(200, 80, 5, 4);
     let dims = magneto_nn::PAPER_BACKBONE.to_vec();
     let teacher = Mlp::new(&dims, &mut SeededRng::new(5)).unwrap();
-    let base = SiameseNetwork::new(teacher.clone(), 1.0);
+    // The trainer embeds every row through the teacher once per update;
+    // a step only gathers from that table.
+    let table = teacher.forward(&features).unwrap();
+    let base = SiameseNetwork::new(teacher, 1.0);
     group.bench_function("paper_backbone", |b| {
         b.iter_batched(
             || {
@@ -76,7 +79,7 @@ fn bench_distilled_step(c: &mut Criterion) {
                     black_box(&features),
                     &pairs,
                     &mut opt,
-                    Some((&teacher, 4.0)),
+                    Some((&table, 4.0)),
                     5.0,
                 )
                 .unwrap()

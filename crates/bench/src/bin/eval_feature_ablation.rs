@@ -109,7 +109,7 @@ fn main() {
             Mlp::new(&cfg.backbone_dims, &mut rng).expect("net"),
             cfg.margin,
         );
-        train_siamese(&mut model, &tr, &train_l, None, &cfg.trainer).expect("train");
+        train_siamese(&mut model, &tr, &train_l, false, &cfg.trainer).expect("train");
 
         // NCM prototypes from the (masked) training embeddings.
         let emb = model.embed(&tr).expect("embed");

@@ -5,10 +5,12 @@
 //!
 //! 1. **Determinism** — the trained weights (and inference embeddings)
 //!    must be bit-identical at every pool size, including fully inline.
-//! 2. **No regression** — running under the installed kernel plan must
-//!    not be slower than the forced single-thread path (≥ 1.0× with a
-//!    parallel plan; ≥ 0.9× noise floor when the host resolves to one
-//!    thread and both runs are sequential).
+//! 2. **No regression** — running under a parallel installed kernel
+//!    plan must not be slower than the forced single-thread path
+//!    (≥ 1.0×). When the host resolves to one thread both runs are the
+//!    same sequential code, so the pool speedup is reported as
+//!    unmeasured (`gate_speedup: null`) instead of passing a gate on
+//!    timer noise.
 //!
 //! The per-thread-count rows are recorded in the JSON whatever they
 //! measure — on a single-core host the 2/4/8-thread rows honestly show
@@ -47,7 +49,9 @@ struct BenchReport {
     host_threads: usize,
     iterations: usize,
     entries: Vec<BenchEntry>,
-    gate_speedup: f64,
+    /// Installed-plan speedup over forced sequential; `None` when the
+    /// plan runs one thread and the speedup is unmeasured.
+    gate_speedup: Option<f64>,
     gate_threshold: f64,
     /// SIMD backend the host detected, if any (`None` = scalar-only).
     simd_backend: Option<String>,
@@ -177,23 +181,34 @@ fn main() {
     }
 
     // The gate compares the *installed plan* against forced sequential: a
-    // parallel plan must win outright; a single-thread plan (1-core host)
-    // runs the same code both times, so only timer noise separates them.
+    // parallel plan must win outright. A single-thread plan (1-core host)
+    // runs the same code both times, so only timer noise separates them:
+    // the speedup is unmeasured there, and said so, rather than gated.
     let (plan_weights, plan_times) = train_run(&init, &features, &batches, Exec::from_plan(plan));
     assert_eq!(
         plan_weights, seq_weights,
         "trained weights under the installed plan differ from the sequential path"
     );
-    let gate_speedup = seq_mean / stats(plan_times).mean_ms;
-    let gate_threshold = if plan.threads > 1 { 1.0 } else { 0.9 };
-    println!(
-        "train_smoke: installed plan ({} thread(s)) speedup {gate_speedup:.2}x (gate ≥ {gate_threshold:.1}x)",
-        plan.threads
-    );
-    assert!(
-        gate_speedup >= gate_threshold,
-        "train step under the installed plan regressed: {gate_speedup:.2}x < {gate_threshold:.1}x"
-    );
+    let plan_speedup = seq_mean / stats(plan_times).mean_ms;
+    let gate_threshold = 1.0;
+    let gate_speedup = if plan.threads > 1 {
+        println!(
+            "train_smoke: installed plan ({} threads) speedup {plan_speedup:.2}x (gate ≥ {gate_threshold:.1}x)",
+            plan.threads
+        );
+        assert!(
+            plan_speedup >= gate_threshold,
+            "train step under the installed plan regressed: {plan_speedup:.2}x < {gate_threshold:.1}x"
+        );
+        Some(plan_speedup)
+    } else {
+        println!(
+            "train_smoke: installed plan runs 1 thread: pool speedup unmeasured \
+             (both runs sequential; {plan_speedup:.2}x is timer noise, not gated)"
+        );
+        None
+    };
+    let gate = gate_speedup.map_or("unmeasured".to_string(), |g| format!("{g:.2}x"));
 
     write_report(
         "BENCH_train.json",
@@ -310,5 +325,5 @@ fn main() {
         },
     );
 
-    println!("train_smoke OK: bit-identical at all pool sizes, gate {gate_speedup:.2}x");
+    println!("train_smoke OK: bit-identical at all pool sizes, pool speedup {gate}");
 }

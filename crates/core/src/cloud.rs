@@ -139,7 +139,7 @@ impl CloudInitializer {
         let mut rng = SeededRng::new(self.config.seed);
         let backbone = Mlp::new(&self.config.backbone_dims, &mut rng.split("weights"))?;
         let mut model = SiameseNetwork::new(backbone, self.config.margin);
-        let training = train_siamese(&mut model, &features, &labels, None, &self.config.trainer)?;
+        let training = train_siamese(&mut model, &features, &labels, false, &self.config.trainer)?;
 
         // 4. Select the support set.
         let mut support_set = SupportSet::new(self.config.support_budget, self.config.selection);

@@ -26,7 +26,7 @@ use crate::version::Lineage;
 use crate::Result;
 use magneto_dsp::PreprocessingPipeline;
 use magneto_nn::trainer::{train_siamese_masked, TrainerConfig, TrainingReport};
-use magneto_nn::{Mlp, QuantizedSiamese};
+use magneto_nn::QuantizedSiamese;
 use magneto_tensor::vector::DistanceMetric;
 use magneto_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -236,43 +236,6 @@ pub struct UpdateReport {
     pub new_windows: usize,
 }
 
-/// Reusable storage for the frozen distillation teacher.
-///
-/// [`ModelState::update`] freezes the pre-update backbone every time it
-/// runs; cloning a paper-sized backbone (~700k weights) per update is the
-/// single largest allocation of the edge loop. The buffer keeps the
-/// previous teacher's matrices alive and copies the new weights into them
-/// in place, so every update after the first is allocation-free here.
-///
-/// It is a scratch cache, not model state: equality ignores it and clones
-/// start cold (empty), keeping `ModelState`'s derived semantics unchanged.
-#[derive(Debug, Default)]
-struct TeacherBuf(Option<Mlp>);
-
-impl TeacherBuf {
-    /// Copy `src` into the buffer (allocating only on first use) and
-    /// return the frozen teacher.
-    fn freeze_from(&mut self, src: &Mlp) -> &Mlp {
-        match &mut self.0 {
-            Some(buf) => buf.copy_from(src),
-            None => self.0 = Some(src.clone()),
-        }
-        self.0.as_ref().expect("teacher buffer just filled")
-    }
-}
-
-impl Clone for TeacherBuf {
-    fn clone(&self) -> Self {
-        TeacherBuf(None)
-    }
-}
-
-impl PartialEq for TeacherBuf {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
 /// The full mutable model state living on the Edge device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
@@ -284,8 +247,6 @@ pub struct ModelState {
     pub registry: LabelRegistry,
     /// NCM classifier over current prototypes.
     pub ncm: NcmClassifier,
-    /// Reusable distillation-teacher storage (scratch, not state).
-    teacher_buf: TeacherBuf,
 }
 
 impl ModelState {
@@ -308,7 +269,6 @@ impl ModelState {
             support_set,
             registry,
             ncm,
-            teacher_buf: TeacherBuf::default(),
         })
     }
 
@@ -457,18 +417,6 @@ impl ModelState {
             self.model = ResidentModel::F32(self.model.to_f32()?);
         }
 
-        // Freeze the pre-update model as the distillation teacher,
-        // reusing the buffer from the previous update (no allocation
-        // after the first update; skipped entirely in the
-        // no-distillation ablation). On an int8 device the teacher is
-        // the dequantised pre-update backbone — exactly the geometry
-        // the device has been serving.
-        if !config.disable_distillation {
-            if let ResidentModel::F32(net) = &self.model {
-                self.teacher_buf.freeze_from(net.backbone());
-            }
-        }
-
         // Step 2 — support set update. Both modes end with `label`'s
         // exemplars drawn from the fresh recording; for NewActivity the
         // class simply did not exist before.
@@ -498,11 +446,11 @@ impl ModelState {
                 let mask = labels.iter().map(|&l| l != target_id).collect();
                 (features, labels, mask)
             };
-        let teacher_ref = if config.disable_distillation {
-            None
-        } else {
-            self.teacher_buf.0.as_ref()
-        };
+        // The distillation teacher is the network as training starts: the
+        // trainer embeds every training row through it once before the
+        // first step (skipped in the no-distillation ablation). On an
+        // int8 device that is the dequantised pre-update backbone —
+        // exactly the geometry the device has been serving.
         let training = {
             let ResidentModel::F32(net) = &mut self.model else {
                 unreachable!("training model rehydrated to f32 above")
@@ -511,7 +459,7 @@ impl ModelState {
                 net,
                 &features,
                 &labels,
-                teacher_ref,
+                !config.disable_distillation,
                 Some(&distill_mask),
                 &config.trainer,
             )?
@@ -561,9 +509,7 @@ impl ModelState {
         config: &IncrementalConfig,
         rng: &mut SeededRng,
     ) -> Result<UpdateOutcome> {
-        // Snapshot everything `update` can mutate. The teacher buffer is
-        // scratch (cold clones are semantically identical), so it is not
-        // part of the transaction.
+        // Snapshot everything `update` can mutate.
         let model = self.model.clone();
         let support_set = self.support_set.clone();
         let registry = self.registry.clone();
@@ -704,7 +650,7 @@ fn build_ncm(
 mod tests {
     use super::*;
     use crate::support_set::SelectionStrategy;
-    use magneto_nn::SiameseNetwork;
+    use magneto_nn::{Mlp, SiameseNetwork};
 
     /// Features for class `c`: a Gaussian blob around distinct corners.
     fn class_features(c: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -1050,11 +996,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_teacher_buffer_matches_cold_buffer_bitwise() {
-        // After one update the teacher buffer is warm (holds the previous
-        // teacher's matrices); a cloned state starts with a cold buffer.
-        // The next update must produce bit-identical results either way —
-        // the buffer is pure scratch.
+    fn cloned_state_updates_identically() {
+        // A state that has already run an update and its clone hold no
+        // hidden scratch between them: the next update must produce
+        // bit-identical results on both.
         let mut warm = base_state(50);
         let cfg = fast_config();
         let mut rng = SeededRng::new(51);

@@ -192,14 +192,17 @@ impl Dense {
         let mut grad = DenseGrad::default();
         let mut dx = Matrix::default();
         let mut ws = Workspace::new();
-        self.backward_into(cache, grad_out, &mut grad, &mut dx, &mut ws)?;
+        self.backward_into(cache, grad_out, &mut grad, Some(&mut dx), &mut ws)?;
         Ok((grad, dx))
     }
 
-    /// Backward pass writing the layer gradients into `grad` and the input
-    /// gradient into `dx`, drawing the δ scratch matrix from `ws`. No
-    /// transpose is materialised: `dW = xᵀ·δ` and `dX = δ·Wᵀ` use the
-    /// transpose-aware kernels directly.
+    /// Backward pass writing the layer gradients into `grad` and, when
+    /// `dx` is given, the input gradient into it, drawing the δ scratch
+    /// matrix from `ws`. `dW = xᵀ·δ` runs on the packed gradient kernel
+    /// and `dX = δ·Wᵀ` on the transpose-aware dot kernel, so the caller
+    /// materialises no transpose. A network's first layer passes
+    /// `dx: None` — nothing reads the gradient of the network input, so
+    /// its `δ·Wᵀ` GEMM is skipped.
     ///
     /// # Errors
     /// Shape mismatch between cache and upstream gradient.
@@ -208,7 +211,7 @@ impl Dense {
         cache: &DenseCache,
         grad_out: &Matrix,
         grad: &mut DenseGrad,
-        dx: &mut Matrix,
+        dx: Option<&mut Matrix>,
         ws: &mut Workspace,
     ) -> Result<()> {
         if grad_out.shape() != cache.pre_activation.shape() {
@@ -231,11 +234,7 @@ impl Dense {
         ) {
             *d = g * act.derivative(z);
         }
-        // dW = xᵀ · δ ; db = column sums of δ ; dX = δ · Wᵀ — both GEMMs
-        // split over the workspace's compute pool.
-        cache
-            .input
-            .transpose_matmul_into_exec(&delta, &mut grad.dw, &exec)?;
+        // db = column sums of δ
         grad.db.clear();
         grad.db.resize(delta.cols(), 0.0);
         for r in 0..delta.rows() {
@@ -243,19 +242,28 @@ impl Dense {
                 *acc += v;
             }
         }
-        delta.matmul_transpose_into_exec(&self.weights, dx, &exec)?;
+        // dW = xᵀ · δ ; dX = δ · Wᵀ — both GEMMs split over the
+        // workspace's compute pool. xᵀ has dX's size and dX is written
+        // only after dW, so xᵀ is packed into dX's buffer; without a dX
+        // it borrows a workspace buffer.
+        match dx {
+            Some(dx) => {
+                cache
+                    .input
+                    .transpose_matmul_into_packed(&delta, &mut grad.dw, dx, &exec)?;
+                delta.matmul_transpose_into_exec(&self.weights, dx, &exec)?;
+            }
+            None => {
+                let mut packed = ws.take(0, 0);
+                let result = cache
+                    .input
+                    .transpose_matmul_into_packed(&delta, &mut grad.dw, &mut packed, &exec);
+                ws.give(packed);
+                result?;
+            }
+        }
         ws.give(delta);
         Ok(())
-    }
-
-    /// Make `self` an element-for-element copy of `src`, reusing
-    /// `self`'s allocations — the allocation-free path behind
-    /// [`crate::Mlp::copy_from`] (distillation-teacher snapshots).
-    pub fn copy_from(&mut self, src: &Dense) {
-        self.weights.copy_from(&src.weights);
-        self.bias.clear();
-        self.bias.extend_from_slice(&src.bias);
-        self.activation = src.activation;
     }
 }
 

@@ -23,7 +23,8 @@
 //! * [`optimizer`] — SGD with momentum and Adam;
 //! * [`pairs`] — balanced positive/negative pair sampling;
 //! * [`siamese`] — the Siamese wrapper: one shared backbone, two-view
-//!   batches, optional frozen teacher;
+//!   batches, optional distillation towards a table of teacher
+//!   embeddings;
 //! * [`trainer`] — epoch loop with loss history and divergence guards;
 //! * [`quantize`] — post-training 8-bit weight quantisation (for the
 //!   < 5 MB footprint budget) *and* the int8 forward path that runs

@@ -286,7 +286,8 @@ impl Mlp {
 
     /// Backward pass writing every layer's gradients into `grads`
     /// (resized to fit on first use) and drawing all intermediate
-    /// matrices from `ws`.
+    /// matrices from `ws`. The gradient of the network input is never
+    /// formed: the first layer skips its `δ·Wᵀ`.
     ///
     /// # Errors
     /// Shape mismatch between cache and upstream gradient.
@@ -307,39 +308,30 @@ impl Mlp {
         grads.layers.resize_with(self.layers.len(), DenseGrad::default);
         let mut grad = ws.take(0, 0);
         grad.copy_from(grad_output);
-        let mut dx = ws.take(0, 0);
         let mut result = Ok(());
-        for ((layer, lc), g) in self
+        for (i, ((layer, lc), g)) in self
             .layers
             .iter()
             .zip(cache.caches.iter())
             .zip(grads.layers.iter_mut())
+            .enumerate()
             .rev()
         {
-            result = layer.backward_into(lc, &grad, g, &mut dx, ws);
+            if i == 0 {
+                // Nothing reads the gradient of the network input: the
+                // first layer skips its `δ·Wᵀ`.
+                result = layer.backward_into(lc, &grad, g, None, ws);
+            } else {
+                let mut dx = ws.take(0, 0);
+                result = layer.backward_into(lc, &grad, g, Some(&mut dx), ws);
+                ws.give(std::mem::replace(&mut grad, dx));
+            }
             if result.is_err() {
                 break;
             }
-            std::mem::swap(&mut grad, &mut dx);
         }
         ws.give(grad);
-        ws.give(dx);
         result
-    }
-
-    /// Make `self` a parameter-for-parameter copy of `src`, reusing
-    /// `self`'s layer allocations when the architectures match (the
-    /// common case: refreshing a distillation-teacher snapshot from the
-    /// live backbone every incremental update). Falls back to a clone
-    /// when layer counts differ.
-    pub fn copy_from(&mut self, src: &Mlp) {
-        if self.layers.len() != src.layers.len() {
-            self.layers = src.layers.clone();
-            return;
-        }
-        for (dst, s) in self.layers.iter_mut().zip(src.layers.iter()) {
-            dst.copy_from(s);
-        }
     }
 
     /// `true` if every weight is finite (divergence guard).
@@ -478,6 +470,40 @@ mod tests {
                 (numeric - analytic).abs() < 3e-2,
                 "layer {li} dW[{r},{c}]: numeric {numeric} vs analytic {analytic}"
             );
+        }
+    }
+
+    #[test]
+    fn backward_into_matches_hand_chained_dense_backward_bitwise() {
+        // Mlp::backward_into never forms the first layer's input gradient;
+        // every layer's dW and db must still equal a hand-chained
+        // Dense::backward (which computes every dX) bit for bit.
+        let m = net(&[18, 24, 16, 5], 12);
+        let mut rng = SeededRng::new(13);
+        let data: Vec<f32> = (0..20 * 18).map(|_| rng.normal_with(0.0, 1.0)).collect();
+        let x = Matrix::from_vec(20, 18, data).unwrap();
+        let grad_out = Matrix::from_vec(
+            20,
+            5,
+            (0..20 * 5).map(|_| rng.normal_with(0.0, 1.0)).collect(),
+        )
+        .unwrap();
+        let cache = m.forward_cached(&x).unwrap();
+        let mut grads = Gradients { layers: Vec::new() };
+        m.backward_into(&cache, &grad_out, &mut grads, &mut Workspace::new())
+            .unwrap();
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut upstream = grad_out;
+        for (i, layer) in m.layers.iter().enumerate().rev() {
+            let (g, dx) = layer.backward(&cache.caches[i], &upstream).unwrap();
+            assert_eq!(
+                bits(grads.layers[i].dw.as_slice()),
+                bits(g.dw.as_slice()),
+                "layer {i} dW"
+            );
+            assert_eq!(bits(&grads.layers[i].db), bits(&g.db), "layer {i} db");
+            upstream = dx;
         }
     }
 

@@ -1,5 +1,5 @@
 //! The Siamese wrapper: one shared backbone, two-view batches, optional
-//! frozen teacher.
+//! distillation towards a table of teacher embeddings.
 //!
 //! "For learning new data on the Edge … we adopt the same base model as
 //! the Cloud Initialization, i.e., Siamese Network with contrastive loss
@@ -139,6 +139,44 @@ impl SiameseNetwork {
         self.backbone.forward_into(features, out, ws)
     }
 
+    /// Embed every row of `features` into `out` (row `r` ↦ row `r`),
+    /// running the forward on at most `chunk_rows` rows at a time with
+    /// staging drawn from `scratch` — so the scratch workspace grows no
+    /// larger than a train step of that many rows needs. This is how the
+    /// trainer builds its distillation table: every GEMM row is
+    /// bit-identical whatever batch it runs in, so each row equals the
+    /// embedding a per-step forward of any batch holding it would give.
+    ///
+    /// # Errors
+    /// Shape mismatch on malformed input.
+    pub(crate) fn embed_chunked_into(
+        &self,
+        features: &Matrix,
+        chunk_rows: usize,
+        out: &mut Matrix,
+        scratch: &mut TrainScratch,
+    ) -> Result<()> {
+        let (rows, cols) = features.shape();
+        let chunk_rows = chunk_rows.max(1);
+        out.resize(rows, self.backbone.output_dim());
+        let mut r0 = 0;
+        while r0 < rows {
+            let r1 = (r0 + chunk_rows).min(rows);
+            scratch.stacked.resize(r1 - r0, cols);
+            scratch
+                .stacked
+                .as_mut_slice()
+                .copy_from_slice(&features.as_slice()[r0 * cols..r1 * cols]);
+            self.backbone
+                .forward_into(&scratch.stacked, &mut scratch.teacher_emb, &mut scratch.ws)?;
+            let width = out.cols();
+            out.as_mut_slice()[r0 * width..r1 * width]
+                .copy_from_slice(scratch.teacher_emb.as_slice());
+            r0 = r1;
+        }
+        Ok(())
+    }
+
     /// Embed one feature vector.
     ///
     /// # Errors
@@ -150,9 +188,11 @@ impl SiameseNetwork {
     /// One optimisation step on a batch of pairs.
     ///
     /// `features` holds all samples (one per row); `pairs` indexes into
-    /// it. When `teacher` is provided, an embedding-distillation term with
-    /// weight `distill_weight` is added over the rows referenced by the
-    /// batch, anchoring the new embedding space to the pre-update one.
+    /// it. When `teacher` is provided it is `(table, weight)`: row `r` of
+    /// `table` is the teacher's embedding of feature row `r`, and an
+    /// embedding-distillation term with that weight is added over the rows
+    /// referenced by the batch, anchoring the new embedding space to the
+    /// pre-update one.
     ///
     /// Returns the loss breakdown at the sampled batch.
     ///
@@ -163,7 +203,7 @@ impl SiameseNetwork {
         features: &Matrix,
         pairs: &[PairSample],
         optimizer: &mut dyn Optimizer,
-        teacher: Option<(&Mlp, f32)>,
+        teacher: Option<(&Matrix, f32)>,
         grad_clip: f32,
     ) -> Result<StepLoss> {
         self.train_step_masked(features, pairs, optimizer, teacher, None, grad_clip)
@@ -187,7 +227,7 @@ impl SiameseNetwork {
         features: &Matrix,
         pairs: &[PairSample],
         optimizer: &mut dyn Optimizer,
-        teacher: Option<(&Mlp, f32)>,
+        teacher: Option<(&Matrix, f32)>,
         distill_mask: Option<&[bool]>,
         grad_clip: f32,
     ) -> Result<StepLoss> {
@@ -218,7 +258,7 @@ impl SiameseNetwork {
         features: &Matrix,
         pairs: &[PairSample],
         optimizer: &mut dyn Optimizer,
-        teacher: Option<(&Mlp, f32)>,
+        teacher: Option<(&Matrix, f32)>,
         distill_mask: Option<&[bool]>,
         grad_clip: f32,
         scratch: &mut TrainScratch,
@@ -226,15 +266,7 @@ impl SiameseNetwork {
         if pairs.is_empty() {
             return Err(NnError::InvalidBatch("empty pair batch".into()));
         }
-        if let Some(mask) = distill_mask {
-            if mask.len() != features.rows() {
-                return Err(NnError::InvalidBatch(format!(
-                    "distill mask length {} != {} feature rows",
-                    mask.len(),
-                    features.rows()
-                )));
-            }
-        }
+        check_distill_inputs(features.rows(), teacher, distill_mask)?;
         let n = pairs.len();
         for p in pairs {
             if p.i >= features.rows() || p.j >= features.rows() {
@@ -298,9 +330,10 @@ impl SiameseNetwork {
         }
 
         let mut d_loss = 0.0f32;
-        if let Some((teacher, weight)) = teacher {
+        if let Some((table, weight)) = teacher {
             if weight > 0.0 {
-                teacher.forward_into(&scratch.stacked, &mut scratch.teacher_emb, &mut scratch.ws)?;
+                let sources = || pairs.iter().map(|p| p.i).chain(pairs.iter().map(|p| p.j));
+                gather_rows(table, 2 * n, sources(), &mut scratch.teacher_emb);
                 let dl = distillation_loss_into(
                     &scratch.cache.output,
                     &scratch.teacher_emb,
@@ -311,8 +344,7 @@ impl SiameseNetwork {
                     // Zero the gradient (and discount the reported loss)
                     // for rows whose source sample is unmasked.
                     let mut kept = 0usize;
-                    let sources = pairs.iter().map(|p| p.i).chain(pairs.iter().map(|p| p.j));
-                    for (row, src) in sources.enumerate() {
+                    for (row, src) in sources().enumerate() {
                         if mask[src] {
                             kept += 1;
                         } else {
@@ -361,7 +393,7 @@ impl SiameseNetwork {
         labels: &[usize],
         batch: &[usize],
         optimizer: &mut dyn Optimizer,
-        teacher: Option<(&Mlp, f32)>,
+        teacher: Option<(&Matrix, f32)>,
         distill_mask: Option<&[bool]>,
         temperature: f32,
         grad_clip: f32,
@@ -393,7 +425,7 @@ impl SiameseNetwork {
         labels: &[usize],
         batch: &[usize],
         optimizer: &mut dyn Optimizer,
-        teacher: Option<(&Mlp, f32)>,
+        teacher: Option<(&Matrix, f32)>,
         distill_mask: Option<&[bool]>,
         temperature: f32,
         grad_clip: f32,
@@ -402,15 +434,7 @@ impl SiameseNetwork {
         if batch.is_empty() {
             return Err(NnError::InvalidBatch("empty supcon batch".into()));
         }
-        if let Some(mask) = distill_mask {
-            if mask.len() != features.rows() {
-                return Err(NnError::InvalidBatch(format!(
-                    "distill mask length {} != {} feature rows",
-                    mask.len(),
-                    features.rows()
-                )));
-            }
-        }
+        check_distill_inputs(features.rows(), teacher, distill_mask)?;
         for &i in batch {
             if i >= features.rows() || i >= labels.len() {
                 return Err(NnError::InvalidBatch(format!(
@@ -434,9 +458,9 @@ impl SiameseNetwork {
         )?;
         scratch.grad_out.copy_from(&grad_out);
         let mut d_loss = 0.0f32;
-        if let Some((teacher, weight)) = teacher {
+        if let Some((table, weight)) = teacher {
             if weight > 0.0 {
-                teacher.forward_into(&scratch.stacked, &mut scratch.teacher_emb, &mut scratch.ws)?;
+                gather_rows(table, batch.len(), batch.iter().copied(), &mut scratch.teacher_emb);
                 let dl = distillation_loss_into(
                     &scratch.cache.output,
                     &scratch.teacher_emb,
@@ -497,11 +521,51 @@ impl SiameseNetwork {
     }
 }
 
+/// Validate the optional distillation inputs of a train step against
+/// the `rows` feature rows: the mask and the teacher table both need one
+/// entry per row.
+fn check_distill_inputs(
+    rows: usize,
+    teacher: Option<(&Matrix, f32)>,
+    distill_mask: Option<&[bool]>,
+) -> Result<()> {
+    if let Some(mask) = distill_mask {
+        if mask.len() != rows {
+            return Err(NnError::InvalidBatch(format!(
+                "distill mask length {} != {rows} feature rows",
+                mask.len()
+            )));
+        }
+    }
+    if let Some((table, _)) = teacher {
+        if table.rows() != rows {
+            return Err(NnError::InvalidBatch(format!(
+                "teacher table has {} rows, features have {rows}",
+                table.rows()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Copy row `sources[r]` of `table` into row `r` of `out` (`count` rows).
+fn gather_rows(
+    table: &Matrix,
+    count: usize,
+    sources: impl Iterator<Item = usize>,
+    out: &mut Matrix,
+) {
+    out.resize(count, table.cols());
+    for (r, src) in sources.enumerate() {
+        out.row_mut(r).copy_from_slice(table.row(src));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::Adam;
-    use crate::pairs::sample_pairs;
+    use crate::pairs::{sample_balanced_batch, sample_pairs};
 
     /// Two Gaussian blobs in feature space, labels 0/1.
     fn blobs(n_per_class: usize, dim: usize, sep: f32, seed: u64) -> (Matrix, Vec<usize>) {
@@ -604,16 +668,16 @@ mod tests {
         let mut opt_w = Adam::new(0.005);
         let mut opt_wo = Adam::new(0.005);
         let mut rng2 = SeededRng::new(10);
+        let t_emb = teacher.forward(&features).unwrap();
         for _ in 0..40 {
             let pairs = sample_pairs(&disruptive, 48, &mut rng2);
-            with.train_step(&features, &pairs, &mut opt_w, Some((&teacher, 10.0)), 5.0)
+            with.train_step(&features, &pairs, &mut opt_w, Some((&t_emb, 10.0)), 5.0)
                 .unwrap();
             without
                 .train_step(&features, &pairs, &mut opt_wo, None, 5.0)
                 .unwrap();
         }
         // Drift from the teacher's embeddings.
-        let t_emb = teacher.forward(&features).unwrap();
         let w_emb = with.embed(&features).unwrap();
         let wo_emb = without.embed(&features).unwrap();
         let drift_with = w_emb.sub(&t_emb).unwrap().frobenius_norm();
@@ -622,6 +686,70 @@ mod tests {
             drift_with < drift_without * 0.8,
             "distilled drift {drift_with} vs undistilled {drift_without}"
         );
+    }
+
+    #[test]
+    fn teacher_table_rows_equal_per_step_teacher_forward_bitwise() {
+        // 46 rows, tabled in chunks of one step's stacked batch (32 rows
+        // for 16 pairs, 16 for a SupCon batch): the last chunk has 14
+        // rows, below the tiled kernel's 16-row threshold, so those table
+        // rows come from the axpy kernel while every step's stacked batch
+        // runs tiled. Each row a masked distillation step gathers must
+        // equal the frozen teacher's forward of that stacked batch, bit
+        // for bit.
+        let (features, labels) = blobs(23, 4, 2.0, 60);
+        let mask: Vec<bool> = labels.iter().map(|&l| l == 0).collect();
+        let init = small_siamese(61);
+        let teacher = init.backbone().clone();
+        let mut ws = Workspace::new();
+        let mut expected = Matrix::default();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for supcon in [false, true] {
+            let mut scratch = TrainScratch::new();
+            let mut table = Matrix::default();
+            let step_rows = if supcon { 16 } else { 32 };
+            init.embed_chunked_into(&features, step_rows, &mut table, &mut scratch)
+                .unwrap();
+            let mut net = init.clone();
+            let mut opt = Adam::new(3e-3);
+            let mut rng = SeededRng::new(62);
+            for _ in 0..4 {
+                let sources: Vec<usize> = if supcon {
+                    let batch = sample_balanced_batch(&labels, 16, &mut rng);
+                    net.train_step_supcon_with(
+                        &features,
+                        &labels,
+                        &batch,
+                        &mut opt,
+                        Some((&table, 2.0)),
+                        Some(&mask),
+                        0.3,
+                        5.0,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    batch
+                } else {
+                    let pairs = sample_pairs(&labels, 16, &mut rng);
+                    net.train_step_masked_with(
+                        &features,
+                        &pairs,
+                        &mut opt,
+                        Some((&table, 2.0)),
+                        Some(&mask),
+                        5.0,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    pairs.iter().map(|p| p.i).chain(pairs.iter().map(|p| p.j)).collect()
+                };
+                assert_eq!(sources.len(), step_rows);
+                let stacked = features.select_rows(&sources).unwrap();
+                teacher.forward_into(&stacked, &mut expected, &mut ws).unwrap();
+                assert_eq!(bits(&scratch.teacher_emb), bits(&expected), "supcon={supcon}");
+            }
+            assert_ne!(&net, &init, "the steps trained");
+        }
     }
 
     #[test]

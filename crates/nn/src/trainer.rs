@@ -1,11 +1,10 @@
 //! Epoch-level training loop with divergence guards and loss history.
 //!
-//! Used for both Cloud pre-training (many epochs, no teacher) and
-//! on-device incremental updates (few epochs, frozen teacher, distillation
-//! weight > 0).
+//! Used for both Cloud pre-training (many epochs, no distillation) and
+//! on-device incremental updates (few epochs, distillation towards the
+//! pre-update network, distillation weight > 0).
 
 use crate::error::NnError;
-use crate::network::Mlp;
 use crate::optimizer::{Adam, Optimizer};
 use crate::pairs::{sample_balanced_batch, sample_pairs};
 use crate::siamese::{SiameseNetwork, TrainScratch};
@@ -41,7 +40,8 @@ pub struct TrainerConfig {
     pub learning_rate: f32,
     /// Multiplicative LR decay applied after each epoch.
     pub lr_decay: f32,
-    /// Weight of the distillation term (0 disables even with a teacher).
+    /// Weight of the distillation term (0 disables it even when
+    /// distillation is requested).
     pub distill_weight: f32,
     /// Gradient clipping threshold (0 disables).
     pub grad_clip: f32,
@@ -113,8 +113,11 @@ impl TrainingReport {
 
 /// Train a Siamese network on labelled feature rows.
 ///
-/// `teacher` enables the joint contrastive + distillation objective used
-/// for edge updates (§3.3): the teacher is the frozen pre-update backbone.
+/// `distill` enables the joint contrastive + distillation objective used
+/// for edge updates (§3.3): the teacher is `net` as passed in, the frozen
+/// pre-update backbone. Its embedding of every training row is computed
+/// once, before the first step, and each step gathers its rows from that
+/// table — no copy of the teacher's weights is kept.
 ///
 /// # Errors
 /// [`NnError::InvalidBatch`] on empty/misaligned data,
@@ -123,10 +126,10 @@ pub fn train_siamese(
     net: &mut SiameseNetwork,
     features: &Matrix,
     labels: &[usize],
-    teacher: Option<&Mlp>,
+    distill: bool,
     config: &TrainerConfig,
 ) -> Result<TrainingReport> {
-    train_siamese_masked(net, features, labels, teacher, None, config)
+    train_siamese_masked(net, features, labels, distill, None, config)
 }
 
 /// [`train_siamese`] with a per-sample distillation mask (see
@@ -140,7 +143,7 @@ pub fn train_siamese_masked(
     net: &mut SiameseNetwork,
     features: &Matrix,
     labels: &[usize],
-    teacher: Option<&Mlp>,
+    distill: bool,
     distill_mask: Option<&[bool]>,
     config: &TrainerConfig,
 ) -> Result<TrainingReport> {
@@ -149,7 +152,7 @@ pub fn train_siamese_masked(
     // default scratch runs on the process-wide execution context, so an
     // installed autotuned plan parallelises this loop automatically.
     let mut scratch = TrainScratch::new();
-    train_siamese_masked_with(net, features, labels, teacher, distill_mask, config, &mut scratch)
+    train_siamese_masked_with(net, features, labels, distill, distill_mask, config, &mut scratch)
 }
 
 /// [`train_siamese_masked`] drawing every temporary from a caller-owned
@@ -164,7 +167,7 @@ pub fn train_siamese_masked_with(
     net: &mut SiameseNetwork,
     features: &Matrix,
     labels: &[usize],
-    teacher: Option<&Mlp>,
+    distill: bool,
     distill_mask: Option<&[bool]>,
     config: &TrainerConfig,
     scratch: &mut TrainScratch,
@@ -185,7 +188,20 @@ pub fn train_siamese_masked_with(
         epochs_run: 0,
         steps: 0,
     };
-    let teacher_arg = teacher.map(|t| (t, config.distill_weight));
+    // The teacher table: every training row embedded once through the
+    // pre-update network, in chunks no larger than one step's batch so
+    // the scratch workspace does not grow.
+    let step_rows = match config.objective {
+        Objective::Pairwise => 2 * config.batch_pairs.max(1),
+        Objective::SupCon { .. } => config.batch_pairs.max(2),
+    };
+    let mut table = Matrix::default();
+    let teacher_arg = if distill && config.distill_weight > 0.0 {
+        net.embed_chunked_into(features, step_rows, &mut table, scratch)?;
+        Some((&table, config.distill_weight))
+    } else {
+        None
+    };
     for epoch in 0..config.epochs {
         let mut epoch_total = 0.0f32;
         let mut epoch_contrastive = 0.0f32;
@@ -262,6 +278,7 @@ pub fn train_siamese_masked_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Mlp;
 
     fn blobs(n_per_class: usize, classes: usize, dim: usize, sep: f32, seed: u64) -> (Matrix, Vec<usize>) {
         let mut rng = SeededRng::new(seed);
@@ -298,7 +315,7 @@ mod tests {
     fn loss_decreases_over_epochs() {
         let (features, labels) = blobs(20, 3, 6, 2.5, 1);
         let mut net = small_net(2);
-        let report = train_siamese(&mut net, &features, &labels, None, &fast_config()).unwrap();
+        let report = train_siamese(&mut net, &features, &labels, false, &fast_config()).unwrap();
         assert_eq!(report.epochs_run, 10);
         assert_eq!(report.epoch_losses.len(), 10);
         assert!(
@@ -315,13 +332,12 @@ mod tests {
     fn distillation_losses_recorded_with_teacher() {
         let (features, labels) = blobs(15, 2, 6, 2.0, 3);
         let mut net = small_net(4);
-        let teacher = small_net(5).into_backbone();
         let config = TrainerConfig {
             distill_weight: 1.0,
             ..fast_config()
         };
         let report =
-            train_siamese(&mut net, &features, &labels, Some(&teacher), &config).unwrap();
+            train_siamese(&mut net, &features, &labels, true, &config).unwrap();
         assert!(report.distillation_losses.iter().any(|&l| l > 0.0));
         // Contrastive + distillation == total (per epoch).
         for i in 0..report.epochs_run {
@@ -336,11 +352,11 @@ mod tests {
         labels.pop();
         let mut net = small_net(7);
         assert!(matches!(
-            train_siamese(&mut net, &features, &labels, None, &fast_config()),
+            train_siamese(&mut net, &features, &labels, false, &fast_config()),
             Err(NnError::InvalidBatch(_))
         ));
         let empty = Matrix::zeros(0, 6);
-        assert!(train_siamese(&mut net, &empty, &[], None, &fast_config()).is_err());
+        assert!(train_siamese(&mut net, &empty, &[], false, &fast_config()).is_err());
     }
 
     #[test]
@@ -351,7 +367,7 @@ mod tests {
         let (mut features, labels) = blobs(10, 2, 6, 2.0, 8);
         features.set(3, 2, f32::NAN);
         let mut net = small_net(9);
-        let result = train_siamese(&mut net, &features, &labels, None, &fast_config());
+        let result = train_siamese(&mut net, &features, &labels, false, &fast_config());
         assert!(
             matches!(result, Err(NnError::Diverged { epoch: 0 })),
             "expected divergence, got {result:?}"
@@ -363,8 +379,8 @@ mod tests {
         let (features, labels) = blobs(10, 2, 6, 2.0, 10);
         let mut a = small_net(11);
         let mut b = small_net(11);
-        let ra = train_siamese(&mut a, &features, &labels, None, &fast_config()).unwrap();
-        let rb = train_siamese(&mut b, &features, &labels, None, &fast_config()).unwrap();
+        let ra = train_siamese(&mut a, &features, &labels, false, &fast_config()).unwrap();
+        let rb = train_siamese(&mut b, &features, &labels, false, &fast_config()).unwrap();
         assert_eq!(ra.epoch_losses, rb.epoch_losses);
         assert_eq!(a, b);
     }
@@ -385,7 +401,7 @@ mod tests {
             learning_rate: 2e-3,
             ..fast_config()
         };
-        let report = train_siamese(&mut net, &features, &labels, None, &config).unwrap();
+        let report = train_siamese(&mut net, &features, &labels, false, &config).unwrap();
         assert_eq!(report.epochs_run, config.epochs);
         assert!(
             report.final_loss().unwrap() < report.epoch_losses[0],
@@ -422,7 +438,6 @@ mod tests {
     fn supcon_with_teacher_records_distillation() {
         let (features, labels) = blobs(10, 2, 6, 2.0, 32);
         let mut net = small_net(33);
-        let teacher = small_net(34).into_backbone();
         let config = TrainerConfig {
             objective: Objective::SupCon { temperature: 0.3 },
             distill_weight: 1.0,
@@ -430,7 +445,7 @@ mod tests {
             ..fast_config()
         };
         let report =
-            train_siamese(&mut net, &features, &labels, Some(&teacher), &config).unwrap();
+            train_siamese(&mut net, &features, &labels, true, &config).unwrap();
         assert!(report.distillation_losses.iter().any(|&l| l > 0.0));
     }
 
@@ -464,13 +479,13 @@ mod tests {
         let mut a = small_net(41);
         let mut b = small_net(41);
         let ra =
-            train_siamese_masked(&mut a, &features, &labels, None, None, &fast_config()).unwrap();
+            train_siamese_masked(&mut a, &features, &labels, false, None, &fast_config()).unwrap();
         let mut scratch = TrainScratch::with_exec(magneto_tensor::Exec::inline());
         let rb = train_siamese_masked_with(
             &mut b,
             &features,
             &labels,
-            None,
+            false,
             None,
             &fast_config(),
             &mut scratch,

@@ -181,13 +181,13 @@ proptest! {
         let mut reference_net = init.clone();
         let mut scratch = TrainScratch::with_exec(Exec::inline());
         let reference = train_siamese_masked_with(
-            &mut reference_net, &features, &labels, None, None, &config, &mut scratch,
+            &mut reference_net, &features, &labels, false, None, &config, &mut scratch,
         ).unwrap();
         for exec in execs() {
             let mut net = init.clone();
             let mut scratch = TrainScratch::with_exec(exec.clone());
             let report = train_siamese_masked_with(
-                &mut net, &features, &labels, None, None, &config, &mut scratch,
+                &mut net, &features, &labels, false, None, &config, &mut scratch,
             ).unwrap();
             prop_assert_eq!(&report.epoch_losses, &reference.epoch_losses, "threads={}", exec.threads());
             prop_assert_eq!(&net, &reference_net, "threads={}", exec.threads());
@@ -195,12 +195,11 @@ proptest! {
     }
 
     /// The masked/distilled variant (the on-device update path) is
-    /// equally deterministic: teacher forward, masked distillation
+    /// equally deterministic: teacher table, masked distillation
     /// gradients and all backward GEMMs included.
     #[test]
     fn train_siamese_masked_bit_identical_at_any_pool_size(seed in 0u64..200) {
         let (features, labels) = blob_features(2, 8, 10, seed);
-        let teacher = Mlp::new(&[10, 12, 6], &mut SeededRng::new(seed ^ 0x3C)).unwrap();
         let mask: Vec<bool> = labels.iter().map(|&l| l == 0).collect();
         let config = TrainerConfig {
             epochs: 2,
@@ -217,13 +216,13 @@ proptest! {
         let mut reference_net = init.clone();
         let mut scratch = TrainScratch::with_exec(Exec::inline());
         let reference = train_siamese_masked_with(
-            &mut reference_net, &features, &labels, Some(&teacher), Some(&mask), &config, &mut scratch,
+            &mut reference_net, &features, &labels, true, Some(&mask), &config, &mut scratch,
         ).unwrap();
         for exec in execs() {
             let mut net = init.clone();
             let mut scratch = TrainScratch::with_exec(exec.clone());
             let report = train_siamese_masked_with(
-                &mut net, &features, &labels, Some(&teacher), Some(&mask), &config, &mut scratch,
+                &mut net, &features, &labels, true, Some(&mask), &config, &mut scratch,
             ).unwrap();
             prop_assert_eq!(&report.epoch_losses, &reference.epoch_losses, "threads={}", exec.threads());
             prop_assert_eq!(&net, &reference_net, "threads={}", exec.threads());

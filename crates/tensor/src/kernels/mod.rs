@@ -393,29 +393,3 @@ pub(crate) fn matmul_transpose_panel(
         }
     }
 }
-
-/// `lhsᵀ · rhs` panel: output rows `[c0, c1)` — i.e. columns `c0..c1`
-/// of `lhs` — via the r-outer, zero-skipping gradient scatter.
-#[allow(clippy::too_many_arguments)] // panel geometry is inherently wide
-pub(crate) fn transpose_matmul_panel(
-    backend: Backend,
-    lhs: &[f32],
-    lhs_cols: usize,
-    rows: usize,
-    rhs: &[f32],
-    n: usize,
-    c0: usize,
-    c1: usize,
-    panel: &mut [f32],
-) {
-    for r in 0..rows {
-        let a_row = &lhs[r * lhs_cols + c0..r * lhs_cols + c1];
-        let b_row = &rhs[r * n..(r + 1) * n];
-        for (i, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            axpy_dispatch(backend, a, b_row, &mut panel[i * n..(i + 1) * n]);
-        }
-    }
-}

@@ -77,9 +77,9 @@ pub(crate) fn row_tail_fma<const TC: usize>(
 }
 
 /// `out += x * b`, the streaming row update of the axpy kernels (the
-/// per-sample forward, the gradient scatter, and the tiled kernel's
-/// column tail). Zero-skip is the *caller's* job so every call site
-/// keeps its original skip decision.
+/// per-sample forward and the tiled kernel's column tail). Zero-skip is
+/// the *caller's* job so every call site keeps its original skip
+/// decision.
 pub(crate) fn axpy(x: f32, b: &[f32], out: &mut [f32]) {
     for (o, &bv) in out.iter_mut().zip(b.iter()) {
         *o = fma(x, bv, *o);

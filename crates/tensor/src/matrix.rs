@@ -483,11 +483,14 @@ impl Matrix {
     }
 
     /// Matrix product `self^T * rhs` written into `out`, reusing `out`'s
-    /// allocation and never materialising the transpose.
+    /// allocation.
     ///
-    /// This is the gradient kernel: `dw = input^T * delta`. The loop runs
-    /// over shared rows `r`, scattering `self[r][i] * rhs[r][..]` into
-    /// output row `i` — every slice access is contiguous.
+    /// This is the gradient kernel: `dw = input^T * delta`. It packs
+    /// `self^T` and runs the packed product on
+    /// [`Matrix::matmul_into_exec`], so output element `(i, j)` is
+    /// accumulated by fma over the shared rows `r` in ascending order —
+    /// the order of an r-outer scatter, computed with register tiles
+    /// instead of re-streaming the output once per row.
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] unless
@@ -496,12 +499,11 @@ impl Matrix {
         self.transpose_matmul_into_exec(rhs, out, &Exec::inline())
     }
 
-    /// Parallel [`Matrix::transpose_matmul_into`]: the *output* rows
-    /// (columns of `self`) are split into panels across `exec`'s pool.
-    /// Every thread walks the shared sample rows `r` in the same
-    /// ascending order, scattering only into its own panel, so each
-    /// output element keeps the sequential accumulation order and the
-    /// result is bit-identical at any thread count.
+    /// Parallel [`Matrix::transpose_matmul_into`]: the packed product
+    /// splits its output rows (columns of `self`) across `exec`'s pool
+    /// exactly as [`Matrix::matmul_into_exec`] does, so the result is
+    /// bit-identical at any thread count. The pack buffer is allocated
+    /// per call; hot loops use [`Matrix::transpose_matmul_into_packed`].
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] unless
@@ -512,6 +514,23 @@ impl Matrix {
         out: &mut Matrix,
         exec: &Exec,
     ) -> Result<()> {
+        self.transpose_matmul_into_packed(rhs, out, &mut Matrix::default(), exec)
+    }
+
+    /// [`Matrix::transpose_matmul_into_exec`] packing `self^T` into the
+    /// caller's `packed` matrix (its contents are overwritten), so a hot
+    /// loop reuses one allocation for the pack.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `self.rows == rhs.rows`.
+    pub fn transpose_matmul_into_packed(
+        &self,
+        rhs: &Matrix,
+        out: &mut Matrix,
+        packed: &mut Matrix,
+        exec: &Exec,
+    ) -> Result<()> {
         if self.rows != rhs.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "transpose_matmul",
@@ -519,27 +538,8 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        out.resize(self.cols, rhs.cols);
-        let n = rhs.cols;
-        let out_ptr = SendPtr::new(out.data.as_mut_ptr());
-        exec.run_row_panels(self.cols, 1, &|c0, c1| {
-            // SAFETY: disjoint output-row panels; see `matmul_into_exec`.
-            let panel = unsafe {
-                std::slice::from_raw_parts_mut(out_ptr.get().add(c0 * n), (c1 - c0) * n)
-            };
-            kernels::transpose_matmul_panel(
-                exec.plan().backend,
-                &self.data,
-                self.cols,
-                self.rows,
-                &rhs.data,
-                n,
-                c0,
-                c1,
-                panel,
-            );
-        });
-        Ok(())
+        self.transpose_into(packed);
+        packed.matmul_into_exec(rhs, out, exec)
     }
 
     /// Reshape in place to `rows x cols`, zero-filling every element and

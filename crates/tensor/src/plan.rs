@@ -405,6 +405,7 @@ fn autotune_impl(reps: usize) -> KernelPlan {
     let w = dense_matrix(TUNE_K, TUNE_N, &mut rng);
     let mut dw = Matrix::zeros(TUNE_K, TUNE_N);
     let mut dx = Matrix::zeros(TUNE_M, TUNE_K);
+    let mut packed = Matrix::default();
     let max_threads = available_threads();
     let mut timings: Vec<(usize, f64)> = Vec::new();
     for &threads in &[1usize, 2, 4, 8, 16] {
@@ -414,7 +415,7 @@ fn autotune_impl(reps: usize) -> KernelPlan {
         let exec = Exec::from_plan(tuned.with_threads(threads));
         let t = bench(reps, || {
             a.matmul_into_exec(&b, &mut out, &exec).expect("tune shapes agree");
-            a.transpose_matmul_into_exec(&delta, &mut dw, &exec)
+            a.transpose_matmul_into_packed(&delta, &mut dw, &mut packed, &exec)
                 .expect("tune shapes agree");
             delta
                 .matmul_transpose_into_exec(&w, &mut dx, &exec)

@@ -282,6 +282,100 @@ fn pooled_execs() -> &'static [Exec] {
     })
 }
 
+/// Execution contexts for the gradient-GEMM property: pool sizes 1, 2
+/// and 4 on the scalar backend and on the host's detected one, with the
+/// parallel floor lowered as in [`pooled_execs`].
+fn dw_execs() -> &'static [Exec] {
+    static EXECS: std::sync::OnceLock<Vec<Exec>> = std::sync::OnceLock::new();
+    EXECS.get_or_init(|| {
+        let mut backends = vec![Backend::Scalar];
+        if Backend::detect() != Backend::Scalar {
+            backends.push(Backend::detect());
+        }
+        let mut execs = Vec::new();
+        for &backend in &backends {
+            for threads in [1usize, 2, 4] {
+                let mut plan = KernelPlan::inline().with_threads(threads).with_backend(backend);
+                plan.par_min_rows = 8;
+                execs.push(Exec::from_plan(plan));
+            }
+        }
+        execs
+    })
+}
+
+/// Values with full mantissas, so products and sums round and the
+/// accumulation order shows in the bits.
+fn rounding_f32() -> impl Strategy<Value = f32> {
+    (-1_000_000i32..=1_000_000).prop_map(|v| v as f32 * 1.234_567e-6)
+}
+
+/// Activation-like values: about half exact zeros (post-ReLU rows), so
+/// the zero-skip of the reference scatter is exercised.
+fn sparse_f32() -> impl Strategy<Value = f32> {
+    rounding_f32().prop_map(|v| v.max(0.0))
+}
+
+/// `(x, δ)` sharing their row count `r`, with `x` columns on both sides
+/// of the tiled dispatch threshold and `δ` widths with ragged tails.
+fn gradient_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (1..=40usize, 1..=40usize, 1..=40usize).prop_flat_map(|(r, c, n)| {
+        let x = prop::collection::vec(sparse_f32(), r * c)
+            .prop_map(move |d| Matrix::from_vec(r, c, d).unwrap());
+        let delta = prop::collection::vec(rounding_f32(), r * n)
+            .prop_map(move |d| Matrix::from_vec(r, n, d).unwrap());
+        (x, delta)
+    })
+}
+
+/// The gradient scatter `dW = xᵀ·δ` as the r-outer loop: for each shared
+/// row `r` in ascending order, each nonzero `x[r][i]` adds `x[r][i]·δ[r]`
+/// into output row `i` through the same fused multiply-add the kernels use.
+fn scatter_dw(x: &Matrix, delta: &Matrix) -> Matrix {
+    let fma = |a: f32, b: f32, c: f32| {
+        if cfg!(target_feature = "fma") {
+            a.mul_add(b, c)
+        } else {
+            a * b + c
+        }
+    };
+    let mut out = Matrix::zeros(x.cols(), delta.cols());
+    for r in 0..x.rows() {
+        for (i, &a) in x.row(r).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &d) in out.row_mut(i).iter_mut().zip(delta.row(r)) {
+                *o = fma(a, d, *o);
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    /// The packed gradient GEMM accumulates every `dW` element in the
+    /// scatter's ascending-row order, so it equals the scatter bit for
+    /// bit at every pool size and on every backend.
+    #[test]
+    fn transpose_matmul_equals_row_scatter_bitwise((x, delta) in gradient_pair()) {
+        let expected = scatter_dw(&x, &delta);
+        for exec in dw_execs() {
+            let mut out = Matrix::filled(3, 3, 7.0);
+            x.transpose_matmul_into_exec(&delta, &mut out, exec).unwrap();
+            prop_assert_eq!(out.shape(), expected.shape());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&out),
+                bits(&expected),
+                "threads={} backend={}",
+                exec.threads(),
+                exec.backend()
+            );
+        }
+    }
+}
+
 proptest! {
     /// The tentpole determinism claim: every exec GEMM kernel produces
     /// bit-identical output at any pool size, because row panels are

@@ -90,7 +90,7 @@ fn main() {
         learning_rate: 2e-3,
         ..TrainerConfig::default()
     };
-    let report = train_siamese(&mut model, &features, &labels, None, &cfg).unwrap();
+    let report = train_siamese(&mut model, &features, &labels, false, &cfg).unwrap();
     println!(
         "[cloud] loss {:.3} -> {:.3}",
         report.epoch_losses[0],
