@@ -57,8 +57,6 @@ struct BenchReport {
     simd_backend: Option<String>,
     /// Forced-SIMD vs forced-scalar embed speedup on this host.
     simd_speedup_vs_scalar: Option<f64>,
-    /// f32 backend a fresh autotune sweep selected on this host.
-    autotuned_backend: Option<String>,
 }
 
 struct Timings {
@@ -223,7 +221,6 @@ fn main() {
             gate_threshold,
             simd_backend: Backend::detect_simd().map(|b| b.name().to_string()),
             simd_speedup_vs_scalar: None,
-            autotuned_backend: None,
         },
     );
 
@@ -265,7 +262,6 @@ fn main() {
     // accuracy-gated (DESIGN.md §14): elementwise tolerance, not bits.
     let mut simd_backend = None;
     let mut simd_speedup = None;
-    let mut autotuned_backend = None;
     if let Some(simd) = Backend::detect_simd() {
         let (scalar_emb, scalar_times) =
             infer_run(&trained, &features, Exec::from_plan(plan.with_threads(1)));
@@ -295,15 +291,8 @@ fn main() {
             speedup >= 0.8,
             "forced-{simd} embed regressed vs scalar: {speedup:.2}x < 0.8x"
         );
-        let tuned = KernelPlan::autotune();
-        println!(
-            "train_smoke: autotune selected f32 backend {} [{}]",
-            tuned.backend,
-            tuned.describe()
-        );
         simd_backend = Some(simd.name().to_string());
         simd_speedup = Some(speedup);
-        autotuned_backend = Some(tuned.backend.name().to_string());
     } else {
         println!("train_smoke: no SIMD backend on this host; skipping backend comparison");
     }
@@ -321,7 +310,6 @@ fn main() {
             gate_threshold,
             simd_backend,
             simd_speedup_vs_scalar: simd_speedup,
-            autotuned_backend,
         },
     );
 

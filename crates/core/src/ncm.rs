@@ -86,7 +86,7 @@ impl NcmScratch {
     /// Scratch dispatching the coarse scan to the best available SIMD
     /// backend. The int8 distance kernels accumulate in exact integer
     /// arithmetic — bit-identical across backends — so unlike the f32
-    /// families there is no accuracy trade-off to autotune; detection
+    /// families there is no accuracy trade-off to weigh; detection
     /// alone decides.
     pub fn new() -> Self {
         Self::with_backend(Backend::detect_simd().unwrap_or(Backend::Scalar))

@@ -323,40 +323,6 @@ pub fn load_bundle(path: &Path) -> Result<EdgeBundle> {
     Ok(bundle)
 }
 
-/// Path of the kernel-plan cache that rides next to a bundle: the
-/// bundle path with a `.plan.json` extension appended to its file stem.
-///
-/// The plan is device-local tuning state (tile sizes, thread count), not
-/// model state — it never travels with the bundle and carries nothing
-/// derived from user data, so caching it on disk is not a privacy event.
-pub fn kernel_plan_path(bundle_path: &Path) -> std::path::PathBuf {
-    let mut name = bundle_path
-        .file_stem()
-        .unwrap_or_else(|| std::ffi::OsStr::new("magneto"))
-        .to_os_string();
-    name.push(".plan.json");
-    bundle_path.with_file_name(name)
-}
-
-/// Persist an autotuned [`KernelPlan`](magneto_tensor::KernelPlan) next
-/// to the bundle at `bundle_path` (atomic write, same discipline as
-/// [`save_bundle`]).
-///
-/// # Errors
-/// [`CoreError::InvalidBundle`] wrapping any I/O failure.
-pub fn save_kernel_plan(plan: &magneto_tensor::KernelPlan, bundle_path: &Path) -> Result<()> {
-    plan.save(&kernel_plan_path(bundle_path))
-        .map_err(|e| CoreError::InvalidBundle(format!("kernel plan save: {e}")))
-}
-
-/// Load the kernel plan cached next to the bundle at `bundle_path`,
-/// falling back to the host default (and never failing) when the cache is
-/// missing, corrupt, or from an incompatible plan version — a stale or
-/// damaged tuning cache must never prevent the model from loading.
-pub fn load_kernel_plan(bundle_path: &Path) -> magneto_tensor::KernelPlan {
-    magneto_tensor::KernelPlan::load_or_default(&kernel_plan_path(bundle_path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,38 +524,6 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(load_bundle(&path).is_err());
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn kernel_plan_rides_next_to_bundle() {
-        let bundle_path = temp_path("with_plan");
-        let plan_path = kernel_plan_path(&bundle_path);
-        assert!(plan_path.to_string_lossy().ends_with(".plan.json"));
-        assert_eq!(plan_path.parent(), bundle_path.parent());
-
-        let plan = magneto_tensor::KernelPlan::inline().with_threads(2);
-        save_kernel_plan(&plan, &bundle_path).unwrap();
-        assert_eq!(load_kernel_plan(&bundle_path), plan);
-        fs::remove_file(&plan_path).ok();
-    }
-
-    #[test]
-    fn missing_or_corrupt_plan_falls_back_to_default() {
-        let bundle_path = temp_path("plan_fallback");
-        let plan_path = kernel_plan_path(&bundle_path);
-        fs::remove_file(&plan_path).ok();
-        // Missing cache: host default, no error.
-        assert_eq!(
-            load_kernel_plan(&bundle_path),
-            magneto_tensor::KernelPlan::host_default()
-        );
-        // Corrupt cache: same fallback.
-        fs::write(&plan_path, b"{ not json").unwrap();
-        assert_eq!(
-            load_kernel_plan(&bundle_path),
-            magneto_tensor::KernelPlan::host_default()
-        );
-        fs::remove_file(&plan_path).ok();
     }
 
     #[test]

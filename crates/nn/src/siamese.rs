@@ -89,8 +89,8 @@ impl TrainScratch {
         self.ws.backend()
     }
 
-    /// Swap the execution context (e.g. after installing an autotuned
-    /// global plan).
+    /// Swap the execution context (e.g. after installing a new global
+    /// plan).
     pub fn set_exec(&mut self, exec: Exec) {
         self.ws.set_exec(exec);
     }

@@ -150,7 +150,7 @@ pub fn train_siamese_masked(
     // One scratch arena for the whole run: after the first step warms it,
     // every later step reuses the same buffers (see TrainScratch). The
     // default scratch runs on the process-wide execution context, so an
-    // installed autotuned plan parallelises this loop automatically.
+    // installed multi-threaded plan parallelises this loop automatically.
     let mut scratch = TrainScratch::new();
     train_siamese_masked_with(net, features, labels, distill, distill_mask, config, &mut scratch)
 }

@@ -7,8 +7,8 @@
 //! by the plan's [`Backend`]. The callers in [`crate::matrix`] and
 //! [`crate::quant`] keep the *global* level — shape checks, kernel
 //! choice from the total row count, and the row-panel split across the
-//! compute pool — so the three [`TilingScheme`](crate::tiling::TilingScheme)
-//! levels map onto three layers of code.
+//! compute pool — so the tile, stage and global levels of the
+//! decomposition map onto three layers of code.
 //!
 //! The int8 GEMM is the exception: its row-streaming kernel
 //! ([`scalar::qstream`]) has no tile to dispatch and no SIMD instance
@@ -22,15 +22,15 @@
 //! threads, so after the first GEMM the steady state allocates nothing.
 //!
 //! Dispatch safety: the AVX2 arms execute `#[target_feature]` functions,
-//! which is only defined when the host really has AVX2+FMA. Every plan
-//! that crosses a trust boundary goes through
+//! which is only defined when the host really has AVX2+FMA. Every
+//! [`Exec`](crate::pool::Exec) runs its plan through
 //! [`KernelPlan::sanitized`](crate::plan::KernelPlan::sanitized), which
 //! replaces unavailable backends with [`Backend::Scalar`], and the
 //! dispatchers below re-check availability in debug builds.
 
 use std::cell::RefCell;
 
-use crate::matrix::TILE_ROWS;
+use crate::matrix::{PANEL_K, TILE_COLS, TILE_ROWS};
 use crate::tiling::Backend;
 
 pub(crate) mod scalar;
@@ -223,17 +223,17 @@ pub(crate) fn qdot4_dispatch(
 /// into `panel` (panel-local indexing; must arrive zeroed or holding the
 /// running accumulation).
 ///
-/// The loop realises the f32 [`TilingScheme`](crate::tiling::TilingScheme):
-/// per `TC`-wide column strip, each `panel_k`-deep slice of `rhs` is
-/// packed into the thread's stage buffer (alternating between the two
-/// buffers), the 4-row register tiles of the panel consume the packed
-/// strip through the backend's `tile_fma`, remainder rows take the
-/// zero-skipping single-row path over the same stage, and the ragged
-/// column tail (`n % TC`) runs the streaming axpy update directly on
-/// `rhs`. Packing changes addresses, not values or accumulation order,
-/// so the scalar backend stays bit-identical to the pre-stage kernel.
+/// Per [`TILE_COLS`]-wide column strip, each [`PANEL_K`]-deep slice of
+/// `rhs` is packed into the thread's stage buffer (alternating between
+/// the two buffers), the 4-row register tiles of the panel consume the
+/// packed strip through the backend's `tile_fma`, remainder rows take
+/// the zero-skipping single-row path over the same stage, and the ragged
+/// column tail (`n % TILE_COLS`) runs the streaming axpy update directly
+/// on `rhs`. Packing changes addresses, not values or accumulation
+/// order, so the scalar backend stays bit-identical to the pre-stage
+/// kernel.
 #[allow(clippy::too_many_arguments)] // panel geometry is inherently wide
-pub(crate) fn matmul_tiled_panel<const TC: usize>(
+pub(crate) fn matmul_tiled_panel(
     backend: Backend,
     lhs: &[f32],
     k_total: usize,
@@ -242,9 +242,8 @@ pub(crate) fn matmul_tiled_panel<const TC: usize>(
     r0: usize,
     r1: usize,
     panel: &mut [f32],
-    panel_k: usize,
 ) {
-    let panel_k = panel_k.max(1);
+    const TC: usize = TILE_COLS;
     let base = r0 * n;
     let row = |i: usize| &lhs[i * k_total..(i + 1) * k_total];
     STAGE_F32.with(|cell| {
@@ -254,7 +253,7 @@ pub(crate) fn matmul_tiled_panel<const TC: usize>(
             let mut k0 = 0;
             let mut parity = 0;
             while k0 < k_total {
-                let k1 = (k0 + panel_k).min(k_total);
+                let k1 = (k0 + PANEL_K).min(k_total);
                 let stage = &mut bufs[parity];
                 stage.clear();
                 stage.resize((k1 - k0) * TC, 0.0);

@@ -1,8 +1,8 @@
 //! Portable scalar micro-kernels — the always-available [`Backend::Scalar`]
 //! instances and the bit-identity reference for every other backend.
 //!
-//! These bodies are the PR-1 kernels moved behind the
-//! [`TilingScheme`](crate::tiling::TilingScheme) seam *unchanged*: the
+//! These bodies are the PR-1 kernels moved behind the backend
+//! dispatch *unchanged*: the
 //! float operation sequence per output element is exactly what
 //! `matrix.rs`/`quant.rs` executed before the refactor (the tiled kernel
 //! now reads the packed stage buffer instead of the strided rhs, which

@@ -26,9 +26,8 @@
 //! * [`pool`] — a deterministic fixed-partition compute pool: GEMMs are
 //!   split over output row panels across cores with results
 //!   bit-identical to the sequential path at any thread count.
-//! * [`plan`] — the autotuned [`KernelPlan`] (tile shape, dispatch
-//!   thresholds, thread count) that steers every kernel, cached on
-//!   device next to the model bundle.
+//! * [`plan`] — the [`KernelPlan`] (thread count, dispatch thresholds,
+//!   micro-kernel backend) that steers every kernel.
 //! * [`quant`] — the int8 execution seam: [`QuantMatrix`] weights with
 //!   per-output-channel scales, dynamic per-row activation quantisation,
 //!   and an i8×i8→i32 fused GEMM that is bit-identical across pool
@@ -70,7 +69,7 @@ pub use pool::{install_global, ComputePool, Exec};
 pub use qdist::QuantRowStore;
 pub use quant::{Precision, QuantMatrix, QuantScratch};
 pub use rng::SeededRng;
-pub use tiling::{Backend, TilingScheme};
+pub use tiling::Backend;
 pub use workspace::Workspace;
 
 /// Crate-wide result alias.

@@ -245,9 +245,10 @@ impl Matrix {
         self.matmul_into_exec(rhs, out, &Exec::inline())
     }
 
-    /// Plan-driven [`Matrix::matmul_into`]: dispatch thresholds, tile
-    /// width and k-panel depth come from `exec`'s [`KernelPlan`](crate::plan::KernelPlan), and
-    /// the output is split into row panels across `exec`'s compute pool.
+    /// Plan-driven [`Matrix::matmul_into`]: the dispatch thresholds and
+    /// backend come from `exec`'s [`KernelPlan`](crate::plan::KernelPlan),
+    /// and the output is split into row panels across `exec`'s compute
+    /// pool.
     ///
     /// Panels are aligned to the 4-row tile height, so exactly the same
     /// rows take the tiled path vs. the zero-skip remainder as in a
@@ -282,17 +283,9 @@ impl Matrix {
                 std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n)
             };
             if tiled {
-                if plan.tile_cols <= 16 {
-                    kernels::matmul_tiled_panel::<16>(
-                        plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
-                        plan.panel_k,
-                    );
-                } else {
-                    kernels::matmul_tiled_panel::<32>(
-                        plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
-                        plan.panel_k,
-                    );
-                }
+                kernels::matmul_tiled_panel(
+                    plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
+                );
             } else {
                 kernels::matmul_axpy_panel(
                     plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
@@ -348,17 +341,9 @@ impl Matrix {
                 std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n)
             };
             if tiled {
-                if plan.tile_cols <= 16 {
-                    kernels::matmul_tiled_panel::<16>(
-                        plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
-                        plan.panel_k,
-                    );
-                } else {
-                    kernels::matmul_tiled_panel::<32>(
-                        plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
-                        plan.panel_k,
-                    );
-                }
+                kernels::matmul_tiled_panel(
+                    plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
+                );
             } else {
                 kernels::matmul_axpy_panel(
                     plan.backend, &self.data, self.cols, &rhs.data, n, r0, r1, panel,
@@ -819,10 +804,19 @@ impl Matrix {
 /// post-ReLU activation sparsity makes profitable, so it needs enough
 /// rows for register reuse to amortise the extra arithmetic; below this
 /// the zero-skipping axpy kernel wins and stays on the exact per-sample
-/// code path. Since PR 3 this is only the *default* — the live
-/// threshold is `KernelPlan::tiled_min_rows`, measured per host by
-/// [`KernelPlan::autotune`](crate::plan::KernelPlan::autotune).
+/// code path. The live threshold is `KernelPlan::tiled_min_rows`, which
+/// every served plan leaves at this value; tests move it to force one
+/// kernel path.
 pub const TILED_MIN_ROWS: usize = 16;
+
+/// Column width of the register tile in the batched kernel; columns past
+/// the last full strip take the zero-skipping axpy tail.
+pub(crate) const TILE_COLS: usize = 32;
+
+/// Depth of the k-panel of `rhs` the batched kernel packs and keeps
+/// L1-resident between row tiles. Each panel continues the same
+/// ascending-`k` accumulation, so the depth moves no bits.
+pub(crate) const PANEL_K: usize = 256;
 
 /// Row height of the register tile in [`Matrix::matmul_into_exec`]'s
 /// batched kernel. Row panels handed to pool pieces are aligned to this

@@ -29,7 +29,8 @@
 //! (training steps, batch embedding, streaming inference) picks up the
 //! plan without signature churn. [`Exec::global`] returns a lazily
 //! created process-wide instance that [`install_global`] can replace
-//! with an autotuned one at startup.
+//! at startup (the CLI and the benchmark install the host defaults with
+//! the detected SIMD backend).
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -363,7 +364,7 @@ impl Exec {
 
     /// The process-wide execution context. Lazily initialised from
     /// [`KernelPlan::host_default`]; replace it via [`install_global`]
-    /// after autotuning or loading a cached plan.
+    /// to serve another plan (e.g. with the detected SIMD backend).
     pub fn global() -> Exec {
         global_cell().read().expect("global exec poisoned").clone()
     }
@@ -420,7 +421,7 @@ fn global_cell() -> &'static RwLock<Exec> {
     GLOBAL.get_or_init(|| RwLock::new(Exec::from_plan(KernelPlan::host_default())))
 }
 
-/// Replace the process-wide execution context (e.g. with an autotuned
+/// Replace the process-wide execution context (e.g. with the served
 /// plan at startup). Existing `Workspace`s keep the context they were
 /// built with; new ones pick this up.
 pub fn install_global(exec: Exec) {

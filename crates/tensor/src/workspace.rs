@@ -28,7 +28,7 @@ use crate::tiling::Backend;
 /// the [`Exec`] compute context the owning driver loop's kernels run
 /// on. Riding the execution context here means every batched hot path
 /// that already threads a `Workspace` (training steps, batch embedding,
-/// streaming inference) picks up the autotuned [`crate::plan::KernelPlan`]
+/// streaming inference) picks up the installed [`crate::plan::KernelPlan`]
 /// and the shared compute pool without any signature changes.
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -59,8 +59,8 @@ impl Workspace {
         &self.exec
     }
 
-    /// Replace the compute context (e.g. after installing an autotuned
-    /// plan mid-session).
+    /// Replace the compute context (e.g. to run on another plan
+    /// mid-session).
     pub fn set_exec(&mut self, exec: Exec) {
         self.exec = exec;
     }

@@ -437,48 +437,4 @@ proptest! {
             prop_assert_eq!(&out, &reference, "threads={}", exec.threads());
         }
     }
-
-    /// Any sanitized kernel plan survives a JSON round-trip unchanged.
-    #[test]
-    fn kernel_plan_json_roundtrip(
-        threads in 0usize..40,
-        tile_cols in 0usize..80,
-        tiled_min_rows in 0usize..10_000,
-        panel_k in 0usize..20_000,
-        par_min_rows in 0usize..2_000_000,
-        backend_idx in 0usize..3,
-    ) {
-        // Sweep all three backends; `sanitized()` degrades the ones the
-        // host can't run to scalar, and the round-trip must preserve
-        // whichever survives.
-        const BACKENDS: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Neon];
-        let plan = KernelPlan {
-            version: magneto_tensor::plan::PLAN_VERSION,
-            threads,
-            tile_cols,
-            tiled_min_rows,
-            panel_k,
-            par_min_rows,
-            backend: BACKENDS[backend_idx],
-        }
-        .sanitized();
-        let back = KernelPlan::from_json(&plan.to_json()).unwrap();
-        prop_assert_eq!(back, plan);
-    }
-
-    /// A corrupt (or absent) plan cache never breaks startup: loading
-    /// falls back to the host default plan.
-    #[test]
-    fn corrupt_plan_cache_falls_back_to_default(garbage in prop::collection::vec(any::<u8>(), 0..64)) {
-        let path = std::env::temp_dir().join(format!(
-            "magneto_plan_prop_{}.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, &garbage).unwrap();
-        let loaded = KernelPlan::load_or_default(&path);
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(loaded, KernelPlan::host_default());
-        let missing = path.with_extension("missing.json");
-        prop_assert_eq!(KernelPlan::load_or_default(&missing), KernelPlan::host_default());
-    }
 }

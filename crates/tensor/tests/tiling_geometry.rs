@@ -1,11 +1,12 @@
 //! Tail- and edge-geometry tests for the tiled kernel layer.
 //!
-//! The TilingScheme refactor split every GEMM into tile / stage / global
-//! levels with per-backend micro-kernels; the seams of that split are
-//! the *geometry edges* — empty inner dimensions, single rows/columns,
-//! prime sizes that leave ragged tile and panel tails. These tests pin
-//! them down on the scalar reference and, when the host has a SIMD
-//! backend, on the SIMD instance too:
+//! Every GEMM splits into tile / stage / global levels with per-backend
+//! micro-kernels (a 4×32 register tile over 256-deep k-panels); the
+//! seams of that split are the *geometry edges* — empty inner
+//! dimensions, single rows/columns, prime sizes that leave ragged tile
+//! and panel tails, and inner dimensions that cross one or two panel
+//! boundaries. These tests pin them down on the scalar reference and,
+//! when the host has a SIMD backend, on the SIMD instance too:
 //!
 //! * scalar tiled output is **bit-identical** to the streaming axpy
 //!   kernel and to the naive i-k-j oracle (same `fma` chain, same
@@ -22,7 +23,9 @@ use magneto_tensor::{Backend, Exec, KernelPlan, QuantMatrix, QuantScratch, Seede
 /// Geometries chosen to hit every remainder path: K=0 (empty
 /// accumulation), K=1 (single panel step), 1×N (row kernel), M×1
 /// (column tail of width 1), primes (ragged tile, panel and lane
-/// tails), and multiples of the tile sizes (no tails at all).
+/// tails), multiples of the tile sizes (no tails at all), and K past one
+/// or two 256-deep panel boundaries with N leaving a ragged tail after
+/// one or more 32-wide strips.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 0, 1),
@@ -39,6 +42,10 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (3, 5, 64),
     (19, 23, 1),
     (23, 41, 47),
+    (1, 260, 40),
+    (5, 257, 33),
+    (4, 512, 64),
+    (9, 513, 65),
 ];
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -48,11 +55,9 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// A plan that forces the register-tiled kernel for every batch size.
-fn tiled_plan(tile_cols: usize, panel_k: usize, backend: Backend) -> KernelPlan {
+fn tiled_plan(backend: Backend) -> KernelPlan {
     KernelPlan {
-        tile_cols,
         tiled_min_rows: 1,
-        panel_k,
         backend,
         ..KernelPlan::inline()
     }
@@ -86,17 +91,10 @@ fn scalar_tiled_is_bit_identical_to_axpy_and_naive_on_edge_geometries() {
         a.matmul_into_exec(&b, &mut axpy_out, &Exec::from_plan(axpy_plan(Backend::Scalar)))
             .unwrap();
         assert_eq!(axpy_out, naive, "axpy vs naive, shape ({m},{k},{n})");
-        for tile_cols in [16usize, 32] {
-            for panel_k in [1usize, 5, 256, usize::MAX] {
-                let plan = tiled_plan(tile_cols, panel_k, Backend::Scalar);
-                let mut out = Matrix::default();
-                a.matmul_into_exec(&b, &mut out, &Exec::from_plan(plan)).unwrap();
-                assert_eq!(
-                    out, naive,
-                    "tiled vs naive, shape ({m},{k},{n}) tile_cols={tile_cols} panel_k={panel_k}"
-                );
-            }
-        }
+        let mut out = Matrix::default();
+        a.matmul_into_exec(&b, &mut out, &Exec::from_plan(tiled_plan(Backend::Scalar)))
+            .unwrap();
+        assert_eq!(out, naive, "tiled vs naive, shape ({m},{k},{n})");
     }
 }
 
@@ -111,7 +109,7 @@ fn scalar_backward_gemms_cover_edge_geometries() {
         let g = mat(m, n, 0xC0 + (m * 17 + n) as u64);
         let a = mat(m, k, 0xD0 + (k * 11 + n) as u64);
         let b = mat(k, n, 0xE0 + (m + k + n) as u64);
-        let exec = Exec::from_plan(tiled_plan(32, 256, Backend::Scalar));
+        let exec = Exec::from_plan(tiled_plan(Backend::Scalar));
 
         let mut da = Matrix::default();
         g.matmul_transpose_into_exec(&b, &mut da, &exec).unwrap();
@@ -140,44 +138,33 @@ fn simd_f32_agrees_with_scalar_on_edge_geometries() {
     for &(m, k, n) in SHAPES {
         let a = mat(m, k, 0x1A0 + (m * 31 + k * 7 + n) as u64);
         let b = mat(k, n, 0x1B0 + (m + k * 13 + n * 3) as u64);
-        for tile_cols in [16usize, 32] {
-            for panel_k in [1usize, 5, 256] {
-                let mut scalar_out = Matrix::default();
-                let mut simd_out = Matrix::default();
-                a.matmul_into_exec(
-                    &b,
-                    &mut scalar_out,
-                    &Exec::from_plan(tiled_plan(tile_cols, panel_k, Backend::Scalar)),
-                )
+        // Tiled and streaming axpy kernels, then both backward kernels.
+        // Accuracy-gated, not bit-gated: the SIMD kernels mirror the
+        // scalar FMA chain, but the policy bar is tolerance.
+        for (path, mk_plan) in [
+            ("tiled", tiled_plan as fn(Backend) -> KernelPlan),
+            ("axpy", axpy_plan),
+        ] {
+            let mut scalar_out = Matrix::default();
+            let mut simd_out = Matrix::default();
+            a.matmul_into_exec(
+                &b,
+                &mut scalar_out,
+                &Exec::from_plan(mk_plan(Backend::Scalar)),
+            )
+            .unwrap();
+            a.matmul_into_exec(&b, &mut simd_out, &Exec::from_plan(mk_plan(simd)))
                 .unwrap();
-                a.matmul_into_exec(
-                    &b,
-                    &mut simd_out,
-                    &Exec::from_plan(tiled_plan(tile_cols, panel_k, simd)),
-                )
-                .unwrap();
-                // Accuracy-gated, not bit-gated: the SIMD kernels mirror
-                // the scalar FMA chain, but the policy bar is tolerance.
-                let diff = max_abs_diff(&scalar_out, &simd_out);
-                assert!(
-                    diff <= 1e-4 * (k.max(1) as f32),
-                    "f32 {simd} vs scalar diff {diff}, shape ({m},{k},{n}) \
-                     tile_cols={tile_cols} panel_k={panel_k}"
-                );
-            }
+            let diff = max_abs_diff(&scalar_out, &simd_out);
+            assert!(
+                diff <= 1e-4 * (k.max(1) as f32),
+                "f32 {path} {simd} vs scalar diff {diff}, shape ({m},{k},{n})"
+            );
         }
-        // Streaming axpy and both backward kernels, once per shape.
-        let mut scalar_out = Matrix::default();
-        let mut simd_out = Matrix::default();
-        a.matmul_into_exec(&b, &mut scalar_out, &Exec::from_plan(axpy_plan(Backend::Scalar)))
-            .unwrap();
-        a.matmul_into_exec(&b, &mut simd_out, &Exec::from_plan(axpy_plan(simd)))
-            .unwrap();
-        assert!(max_abs_diff(&scalar_out, &simd_out) <= 1e-4 * (k.max(1) as f32));
         if k > 0 {
             let g = mat(m, n, 0x1C0 + (m + n) as u64);
-            let scalar_exec = Exec::from_plan(tiled_plan(32, 256, Backend::Scalar));
-            let simd_exec = Exec::from_plan(tiled_plan(32, 256, simd));
+            let scalar_exec = Exec::from_plan(tiled_plan(Backend::Scalar));
+            let simd_exec = Exec::from_plan(tiled_plan(simd));
             let (mut s, mut v) = (Matrix::default(), Matrix::default());
             g.matmul_transpose_into_exec(&b, &mut s, &scalar_exec).unwrap();
             g.matmul_transpose_into_exec(&b, &mut v, &simd_exec).unwrap();
@@ -203,45 +190,38 @@ fn simd_i8_is_bit_identical_to_scalar_on_edge_geometries() {
         let w = QuantMatrix::quantize(&mat(k, n, 0x2A0 + (k * 29 + n) as u64)).unwrap();
         let x = mat(m, k, 0x2B0 + (m * 23 + k) as u64);
         let bias: Vec<f32> = (0..n).map(|j| (j as f32).sin() * 0.1).collect();
-        for tile_cols in [16usize, 32] {
-            for tiled in [true, false] {
-                let mk_plan = |backend| {
-                    if tiled {
-                        tiled_plan(tile_cols, 256, backend)
-                    } else {
-                        axpy_plan(backend)
-                    }
-                };
-                let mut scalar_out = Matrix::default();
-                let mut simd_out = Matrix::default();
-                let mut scratch = QuantScratch::new();
-                w.matmul_bias_act_into_exec(
-                    &x,
-                    &bias,
-                    act,
-                    &mut scalar_out,
-                    &mut scratch,
-                    &Exec::from_plan(mk_plan(Backend::Scalar)),
-                )
-                .unwrap();
-                w.matmul_bias_act_into_exec(
-                    &x,
-                    &bias,
-                    act,
-                    &mut simd_out,
-                    &mut scratch,
-                    &Exec::from_plan(mk_plan(simd)),
-                )
-                .unwrap();
-                // The int8 GEMM ignores the f32 plan knobs, and integer
-                // accumulation is exact: any difference is a bug, not
-                // rounding.
-                assert_eq!(
-                    scalar_out, simd_out,
-                    "i8 {simd} vs scalar, shape ({m},{k},{n}) \
-                     tile_cols={tile_cols} tiled={tiled}"
-                );
-            }
+        for (path, mk_plan) in [
+            ("tiled", tiled_plan as fn(Backend) -> KernelPlan),
+            ("axpy", axpy_plan),
+        ] {
+            let mut scalar_out = Matrix::default();
+            let mut simd_out = Matrix::default();
+            let mut scratch = QuantScratch::new();
+            w.matmul_bias_act_into_exec(
+                &x,
+                &bias,
+                act,
+                &mut scalar_out,
+                &mut scratch,
+                &Exec::from_plan(mk_plan(Backend::Scalar)),
+            )
+            .unwrap();
+            w.matmul_bias_act_into_exec(
+                &x,
+                &bias,
+                act,
+                &mut simd_out,
+                &mut scratch,
+                &Exec::from_plan(mk_plan(simd)),
+            )
+            .unwrap();
+            // The int8 GEMM ignores the f32 plan knobs, and integer
+            // accumulation is exact: any difference is a bug, not
+            // rounding.
+            assert_eq!(
+                scalar_out, simd_out,
+                "i8 {simd} vs scalar, shape ({m},{k},{n}) f32 plan {path}"
+            );
         }
     }
 }
@@ -251,12 +231,16 @@ fn forced_simd_plan_sanitizes_to_available_backend() {
     // A plan carrying a backend this host can't run must degrade to
     // scalar rather than fault — the heterogeneous-fleet guarantee.
     for backend in [Backend::Avx2, Backend::Neon] {
-        let plan = tiled_plan(32, 256, backend).sanitized();
+        let plan = tiled_plan(backend).sanitized();
         assert!(plan.backend.is_available());
         if !backend.is_available() {
             assert_eq!(plan.backend, Backend::Scalar);
         }
         // And the Exec constructor applies the same clamp.
-        assert!(Exec::from_plan(tiled_plan(32, 256, backend)).backend().is_available());
+        assert!(Exec::from_plan(tiled_plan(backend)).backend().is_available());
     }
+    // Sanitizing keeps the thresholds that force each kernel path, so
+    // the 1- and 3-row shapes above really run the tiled kernel.
+    assert_eq!(Exec::from_plan(tiled_plan(Backend::Scalar)).plan().tiled_min_rows, 1);
+    assert_eq!(Exec::from_plan(axpy_plan(Backend::Scalar)).plan().tiled_min_rows, usize::MAX);
 }

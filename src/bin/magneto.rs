@@ -69,14 +69,13 @@ impl Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  magneto pretrain  --out PATH [--windows-per-class N] [--epochs N] [--seed N] [--model-version N] [--fast] [--quantized] [--retune]
+  magneto pretrain  --out PATH [--windows-per-class N] [--epochs N] [--seed N] [--model-version N] [--fast] [--quantized]
   magneto inspect   BUNDLE
-  magneto infer     BUNDLE --activity NAME [--seconds N] [--seed N] [--atypical] [--precision f32|int8] [--retune]
-  magneto learn     BUNDLE --label NAME --activity NAME [--seconds N] [--seed N] [--out PATH] [--precision f32|int8] [--retune]
-  magneto calibrate BUNDLE --label NAME [--seconds N] [--seed N] [--atypical] [--out PATH] [--precision f32|int8] [--retune]
+  magneto infer     BUNDLE --activity NAME [--seconds N] [--seed N] [--atypical] [--precision f32|int8]
+  magneto learn     BUNDLE --label NAME --activity NAME [--seconds N] [--seed N] [--out PATH] [--precision f32|int8]
+  magneto calibrate BUNDLE --label NAME [--seconds N] [--seed N] [--atypical] [--out PATH] [--precision f32|int8]
   magneto demo      [--fast] [--precision f32|int8]
 
---retune re-runs the kernel-plan autotune instead of loading the cached *.plan.json
 --precision picks the resident execution precision: int8 keeps the quantised
   weights and support set resident (~4x smaller, int8 kernels end-to-end)
 
@@ -132,30 +131,17 @@ fn precision_for(args: &Args) -> Result<Precision, String> {
     }
 }
 
-/// Install the process-wide execution context for this device.
-///
-/// The autotuned kernel plan is cached next to the bundle
-/// (`*.plan.json`); first run — or `--retune` — pays a short
-/// micro-benchmark pass, every later run loads the cache. A missing or
-/// corrupt cache silently falls back to the host default: tuning state
-/// must never stop the app from starting.
-fn install_compute_plan(bundle: &Path, args: &Args) {
-    use magneto::core::storage::{kernel_plan_path, load_kernel_plan, save_kernel_plan};
-    let plan = if !args.has("retune") && kernel_plan_path(bundle).exists() {
-        load_kernel_plan(bundle)
-    } else {
-        println!("[compute] autotuning kernel plan…");
-        let plan = magneto::tensor::KernelPlan::autotune();
-        if let Err(e) = save_kernel_plan(&plan, bundle) {
-            eprintln!("warning: could not cache kernel plan: {e}");
-        }
-        plan
-    };
-    magneto::tensor::install_global(magneto::tensor::Exec::from_plan(plan));
+/// Install the process-wide execution context for this device: the host
+/// defaults (every available core) with the detected SIMD backend — the
+/// plan the benchmark serves.
+fn install_compute_plan() {
+    use magneto::tensor::{Backend, Exec, KernelPlan};
+    let plan = KernelPlan::host_default().with_backend(Backend::detect());
+    magneto::tensor::install_global(Exec::from_plan(plan));
     println!(
         "[compute] {} | host {}",
         plan.describe(),
-        magneto::tensor::Backend::isa_summary()
+        Backend::isa_summary()
     );
 }
 
@@ -171,7 +157,7 @@ fn cmd_pretrain(args: &Args) -> Result<(), String> {
     };
     config.trainer.epochs = epochs;
     config.seed = seed;
-    install_compute_plan(&out, args);
+    install_compute_plan();
 
     println!("[cloud] generating corpus: {windows} windows x 5 activities (seed {seed})…");
     let corpus = SensorDataset::generate(&GeneratorConfig::base_five(windows), seed);
@@ -263,7 +249,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let seconds = args.num("seconds", 5usize);
     let seed = args.num("seed", 1u64);
 
-    install_compute_plan(&path, args);
+    install_compute_plan();
     let mut device = load_device(&path, precision_for(args)?)?;
     println!(
         "[edge] session: {seconds}s of `{activity}` (device knows {:?})",
@@ -320,7 +306,7 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
     let seed = args.num("seed", 2u64);
     let out = args.flag("out").map(PathBuf::from).unwrap_or_else(|| path.clone());
 
-    install_compute_plan(&path, args);
+    install_compute_plan();
     let mut device = load_device(&path, precision_for(args)?)?;
     println!("[edge] recording {seconds:.0}s of `{label}`…");
     let recording =
@@ -359,7 +345,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
     let seed = args.num("seed", 3u64);
     let out = args.flag("out").map(PathBuf::from).unwrap_or_else(|| path.clone());
 
-    install_compute_plan(&path, args);
+    install_compute_plan();
     let mut device = load_device(&path, precision_for(args)?)?;
     let person = person_for(args);
     println!(

@@ -2,15 +2,30 @@
 //! inspect → infer → learn → infer round trip through real process
 //! invocations and on-disk bundle storage.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn magneto() -> Command {
     Command::new(env!("CARGO_BIN_EXE_magneto"))
 }
 
+/// A bundle path inside a fresh directory of its own, so a test can see
+/// every file the CLI leaves beside the bundle.
 fn temp_bundle(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("magneto_cli_test_{name}_{}.mag", std::process::id()))
+    let dir = std::env::temp_dir().join(format!("magneto_cli_test_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    dir.join("device.mag")
+}
+
+/// File names in the bundle's directory.
+fn files_beside(bundle: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(bundle.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 fn run(cmd: &mut Command) -> (bool, String) {
@@ -35,6 +50,9 @@ fn full_cli_lifecycle() {
     assert!(ok, "pretrain failed:\n{text}");
     assert!(text.contains("< 5 MB: true"), "{text}");
     assert!(bundle.exists());
+    // The served kernel plan: host defaults with the detected backend.
+    let banner = format!("[compute] backend={} ", magneto::tensor::Backend::detect());
+    assert!(text.contains(&banner), "expected `{banner}` in:\n{text}");
 
     // inspect
     let (ok, text) = run(magneto().arg("inspect").arg(&bundle));
@@ -64,7 +82,10 @@ fn full_cli_lifecycle() {
     assert!(ok);
     assert!(text.contains("gesture_hi"), "{text}");
 
-    std::fs::remove_file(&bundle).ok();
+    // Pretrain, infer and learn leave nothing but the bundle behind: no
+    // kernel-plan cache, no journal, no scratch file.
+    assert_eq!(files_beside(&bundle), ["device.mag"]);
+    std::fs::remove_dir_all(bundle.parent().unwrap()).ok();
 }
 
 #[test]
@@ -101,5 +122,5 @@ fn cli_rejects_bad_usage() {
         .args(["--activity", "yoga"]));
     assert!(!ok);
     assert!(text.contains("unknown activity"), "{text}");
-    std::fs::remove_file(&bundle).ok();
+    std::fs::remove_dir_all(bundle.parent().unwrap()).ok();
 }
