@@ -6,8 +6,8 @@
 //! paper-scale backbone is used to reflect the deployed model.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use magneto_core::{CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice};
-use magneto_fleet::{Fleet, FleetConfig, ModelKey, SessionId};
+use magneto_core::{CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, Precision};
+use magneto_fleet::{Fleet, FleetConfig, SessionId};
 use magneto_sensors::pool::StreamPool;
 use magneto_sensors::stream::StreamConfig;
 use magneto_sensors::{ActivityKind, GeneratorConfig, SensorDataset};
@@ -45,12 +45,8 @@ fn register_fleet(
     fleet: &Fleet,
     bundle: &EdgeBundle,
 ) -> Vec<(SessionId, Receiver<magneto_fleet::FleetReply>)> {
-    let key = ModelKey::of_bundle(bundle);
     (0..USERS)
-        .map(|_| {
-            let dev = EdgeDevice::deploy(bundle.clone(), EdgeConfig::default()).unwrap();
-            fleet.register(dev, key)
-        })
+        .map(|_| fleet.register(bundle, Precision::F32).unwrap())
         .collect()
 }
 

@@ -144,7 +144,6 @@ fn main() {
             .unwrap();
         let k = fleet.session_key(ids[i]).unwrap();
         assert_eq!(k, key, "calibration forked the shared key");
-        assert!(!k.is_unique());
         calibrated += 1;
     }
     let setup_s = setup_start.elapsed().as_secs_f64();

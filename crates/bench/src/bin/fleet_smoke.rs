@@ -1,12 +1,14 @@
 //! Fleet serving smoke test (wired into `make check`): a 4-worker fleet
-//! serves 16 concurrent sessions, one of which learns a private activity
-//! on-device mid-run. Asserts (1) nonzero end-to-end throughput and
+//! serves 16 concurrent sessions on one shared base. One user's device
+//! learns a private activity on-device and re-enters the fleet on a
+//! private base built from its own snapshot, replacing its old session.
+//! Asserts (1) nonzero end-to-end throughput and
 //! (2) zero cross-session label leaks — no session other than the learner
 //! ever sees the private class in a reply, and every reply's prototype
 //! count matches its own session's class list.
 
-use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice};
-use magneto_fleet::{Fleet, FleetConfig, ModelKey};
+use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision};
+use magneto_fleet::{Fleet, FleetConfig};
 use magneto_sensors::pool::StreamPool;
 use magneto_sensors::stream::StreamConfig;
 use magneto_sensors::{ActivityKind, GeneratorConfig, PersonProfile, SensorDataset};
@@ -30,16 +32,16 @@ fn main() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let key = ModelKey::of_bundle(&bundle);
-    let sessions: Vec<_> = (0..USERS)
-        .map(|_| {
-            let dev = EdgeDevice::deploy(bundle.clone(), EdgeConfig::default()).unwrap();
-            fleet.register(dev, key)
-        })
+    let key = fleet.register_base(&bundle, Precision::F32).unwrap();
+    let mut sessions: Vec<_> = (0..USERS)
+        .map(|_| fleet.register_from_base(key, Precision::F32).unwrap())
         .collect();
 
-    // One user personalises mid-fleet: a private gesture learned
-    // on-device. The session is re-keyed off the shared model version.
+    // One user personalises: their device learns a private gesture
+    // on-device, re-enters the fleet on a private base built from its own
+    // snapshot, and the old session is deregistered. The snapshot's
+    // content key differs from the shared one, so it never batches with
+    // the stock sessions.
     let recording = SensorDataset::record_session(
         PRIVATE_LABEL,
         ActivityKind::GestureHi,
@@ -47,15 +49,17 @@ fn main() {
         25.0,
         17,
     );
-    fleet
-        .update_session(sessions[LEARNER].0, |dev| {
-            dev.learn_new_activity(PRIVATE_LABEL, &recording)
-                .unwrap()
-                .committed()
-                .unwrap();
-        })
+    let mut device = EdgeDevice::deploy(bundle.clone(), EdgeConfig::default()).unwrap();
+    device
+        .learn_new_activity(PRIVATE_LABEL, &recording)
+        .unwrap()
+        .committed()
         .unwrap();
-    assert!(fleet.session_key(sessions[LEARNER].0).unwrap().is_unique());
+    let learner = fleet.register(&device.as_bundle(), Precision::F32).unwrap();
+    let (old, _) = std::mem::replace(&mut sessions[LEARNER], learner);
+    fleet.deregister(old).unwrap();
+    assert_ne!(fleet.session_key(sessions[LEARNER].0).unwrap(), key);
+    assert_eq!(fleet.num_bases(), 1, "a private base entered the shared map");
 
     let mut pool = StreamPool::new(USERS, &ActivityKind::BASE_FIVE, 120, StreamConfig::ideal(), 2);
     let start = Instant::now();

@@ -515,14 +515,6 @@ impl EdgeDevice {
             ncm: &self.state.ncm,
         }
     }
-
-    /// Record an externally measured inference latency — the hook a
-    /// batching runtime uses to keep this device's latency statistics
-    /// honest when the inference ran outside [`infer_window`](Self::infer_window)
-    /// (e.g. amortised across a cross-session micro-batch).
-    pub fn note_latency(&mut self, latency: std::time::Duration) {
-        self.latency.record(latency);
-    }
 }
 
 #[cfg(test)]

@@ -43,14 +43,12 @@ pub struct FleetConfig {
     /// [`crate::SubmitError::Quarantined`].
     #[serde(default = "default_quarantine_for")]
     pub quarantine_for: Duration,
-    /// Tiered session store: most base+delta sessions kept hot
-    /// (overlay resident) **per shard**. Above the cap, the
-    /// least-recently-served deltas page out to the spool (crash-safe
-    /// framed files, or an in-memory spill if no spool directory is
-    /// configured) and rehydrate — bit-identically — on their next
-    /// submit. `0` disables tiering: every delta stays hot.
-    /// Device-backed sessions never page and do not count against the
-    /// cap.
+    /// Tiered session store: most sessions kept hot (overlay resident)
+    /// **per shard**. Above the cap, the least-recently-served deltas
+    /// page out to the spool (crash-safe framed files, or an in-memory
+    /// spill if no spool directory is configured) and rehydrate —
+    /// bit-identically — on their next submit. `0` disables tiering:
+    /// every delta stays hot.
     #[serde(default)]
     pub hot_delta_capacity: usize,
     /// Base-version migration gate: the fraction of a session's own
@@ -61,8 +59,8 @@ pub struct FleetConfig {
     /// `0.0` disables the gate.
     #[serde(default = "default_replay_accuracy_floor")]
     pub replay_accuracy_floor: f32,
-    /// Self-healing under concept drift for base+delta sessions: when
-    /// set, every delta session gets its own
+    /// Self-healing under concept drift: when set, every session gets
+    /// its own
     /// [`magneto_core::HealingLoop`] (baselined on its own live
     /// distances) that, on sustained drift, rebuilds a candidate
     /// [`magneto_core::PersonalDelta`] off to the side from harvested

@@ -1,9 +1,9 @@
 //! # magneto-fleet
 //!
-//! A concurrent multi-device serving runtime for MAGNETO: many
-//! personalised [`magneto_core::EdgeDevice`] sessions under one roof,
-//! served by micro-batching schedulers that coalesce pending sensor
-//! windows *across sessions* into single backbone forward passes.
+//! A concurrent multi-user serving runtime for MAGNETO: many
+//! personalised sessions under one roof, served by micro-batching
+//! schedulers that coalesce pending sensor windows *across sessions*
+//! into single backbone forward passes.
 //!
 //! The paper's demo drives one phone; the ROADMAP's north star is a
 //! production-scale system. This crate is the serving layer between the
@@ -29,38 +29,38 @@
 //!   equal sequential per-device inference at any worker/shard count
 //!   (property-tested), and `workers == 0` gives a fully deterministic
 //!   caller-driven mode ([`Fleet::pump`]).
+//! * **One session kind** ([`store`]) — every session is a base plus a
+//!   personal delta: one refcounted immutable [`store::SharedBase`] per
+//!   `(ModelKey, precision)` plus a compact per-user
+//!   [`magneto_core::PersonalDelta`] applied as an NCM overlay at serve
+//!   time. Calibrated sessions keep the shared key (only the classifier
+//!   is overlaid, never the backbone) and stay batchable; cold deltas
+//!   page out to crash-safe storage under an LRU and rehydrate
+//!   bit-identically on their next submit. Resident bytes per user
+//!   collapse from a full model copy to the delta alone.
 //!
 //! **Privacy:** sessions share *compute*, never *data*. A window is
 //! pre-processed by its own session's pipeline, classified against its
 //! own prototypes, and its reply goes only to its own channel; the only
 //! thing two sessions may share is a read-only borrow of backbone
-//! weights they both already have. On-device learning re-keys a session
-//! ([`Fleet::update_session`]) so personalised weights are never pooled.
-//!
-//! * **Tiered session store** ([`store`]) — beyond device-backed
-//!   sessions, the fleet serves *base+delta* sessions: one refcounted
-//!   immutable [`store::SharedBase`] per `(ModelKey, precision)` plus a
-//!   compact per-user [`magneto_core::PersonalDelta`] applied as an NCM
-//!   overlay at serve time. Personalized sessions keep the shared key
-//!   (only the classifier is overlaid, never the backbone) and stay
-//!   batchable; cold deltas page out to crash-safe storage under an LRU
-//!   and rehydrate bit-identically on their next submit. Resident bytes
-//!   per user collapse from a full model copy to the delta alone.
+//! weights they both already have. A device that retrains on-device
+//! re-enters the fleet on a private base built from its own snapshot
+//! ([`Fleet::register`]), keyed by that snapshot's content hash, so its
+//! personalised weights are never pooled with anyone else's.
 //!
 //! ```
-//! use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice};
-//! use magneto_fleet::{Fleet, FleetConfig, ModelKey};
+//! use magneto_core::{CloudConfig, CloudInitializer, Precision};
+//! use magneto_fleet::{Fleet, FleetConfig};
 //! use magneto_sensors::{GeneratorConfig, SensorDataset};
 //!
 //! let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 42);
 //! let (bundle, _) = CloudInitializer::new(CloudConfig::fast_demo())
 //!     .pretrain(&corpus)
 //!     .unwrap();
-//! let key = ModelKey::of_bundle(&bundle);
 //!
 //! let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
-//! let device = EdgeDevice::deploy(bundle, EdgeConfig::default()).unwrap();
-//! let (id, replies) = fleet.register(device, key);
+//! let key = fleet.register_base(&bundle, Precision::F32).unwrap();
+//! let (id, replies) = fleet.register_from_base(key, Precision::F32).unwrap();
 //!
 //! let probe = SensorDataset::generate(&GeneratorConfig::tiny(), 7);
 //! fleet.submit(id, probe.windows[0].channels.clone()).unwrap();

@@ -12,8 +12,7 @@ use crate::store::{
 use magneto_core::drift::DriftStatus;
 use magneto_core::inference::{infer_batch, BatchJob};
 use magneto_core::{
-    BatchEmbedder, EdgeBundle, EdgeDevice, HealingLoop, HealingStats, ModelVersion, PersonalDelta,
-    Precision,
+    BatchEmbedder, EdgeBundle, HealingLoop, HealingStats, ModelVersion, PersonalDelta, Precision,
 };
 use magneto_tensor::vector::DistanceMetric;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -74,20 +73,21 @@ struct Inner {
     shards: Vec<Shard>,
     signals: Vec<WorkerSignal>,
     /// Shared immutable bases, one per `(key, precision)`, `Arc`-cloned
-    /// into every delta session deployed from them.
+    /// into every session deployed from them. Private bases
+    /// ([`Fleet::register`]) are held by their one session, never here.
     bases: Mutex<HashMap<(ModelKey, Precision), Arc<SharedBase>>>,
     /// Directory cold deltas spill to (crash-safe framed files). `None`
     /// = spill in memory.
     spool_dir: Mutex<Option<PathBuf>>,
     global_inflight: AtomicUsize,
     next_session: AtomicU64,
-    next_key: AtomicU64,
     shutdown: AtomicBool,
 }
 
-/// The concurrent multi-device serving runtime.
+/// The concurrent multi-user serving runtime.
 ///
-/// Owns N per-user [`EdgeDevice`] sessions behind a sharded registry,
+/// Owns N per-user sessions — each a shared or private base plus a
+/// personal delta ([`crate::store`]) — behind a sharded registry,
 /// admits sensor windows through bounded per-shard queues (rejecting
 /// with a retry hint under load), and serves them with per-worker
 /// micro-batching schedulers: each drain cycle groups pending windows
@@ -99,8 +99,8 @@ struct Inner {
 /// session's pipeline and classified against its own prototypes; only
 /// the backbone matmul is shared, and only between sessions whose model
 /// keys attest bit-identical weights. Outputs are bit-identical to
-/// driving each device sequentially (property-tested), at any worker or
-/// shard count.
+/// driving each user's [`EdgeDevice`](magneto_core::EdgeDevice)
+/// sequentially (property-tested), at any worker or shard count.
 pub struct Fleet {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
@@ -140,7 +140,6 @@ impl Fleet {
             spool_dir: Mutex::new(None),
             global_inflight: AtomicUsize::new(0),
             next_session: AtomicU64::new(0),
-            next_key: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         let mut workers = Vec::with_capacity(config.workers);
@@ -200,22 +199,35 @@ impl Fleet {
         self.compute_plan().backend
     }
 
-    /// Register a session, taking ownership of its device. `key` attests
-    /// the device's model weights: pass the same key for sessions
-    /// deployed from the same bundle ([`ModelKey::of_bundle`]) so the
-    /// scheduler may batch them together. Returns the session handle and
-    /// the channel its predictions arrive on.
-    pub fn register(&self, device: EdgeDevice, key: ModelKey) -> (SessionId, Receiver<FleetReply>) {
-        let precision = device.precision();
-        self.register_entry(SessionModel::Device(Box::new(device)), key, precision)
+    /// Register a session on a *private* base assembled from `bundle` at
+    /// `precision` — typically a device's own snapshot
+    /// ([`EdgeDevice::as_bundle`](magneto_core::EdgeDevice::as_bundle))
+    /// after it retrained on-device. The base is keyed by
+    /// [`ModelKey::of_bundle`] but not entered into the shared map: the
+    /// session's `Arc` is its only holder, so it is freed with the
+    /// session. A private base whose content equals a shared base's gets
+    /// the same key and batches with that base's sessions (keys attest
+    /// identical weights). Returns the session handle and the channel
+    /// its predictions arrive on.
+    ///
+    /// # Errors
+    /// [`StoreError::Storage`] when the bundle fails validation or
+    /// precision conversion.
+    pub fn register(
+        &self,
+        bundle: &EdgeBundle,
+        precision: Precision,
+    ) -> Result<(SessionId, Receiver<FleetReply>), StoreError> {
+        let base = SharedBase::from_bundle(bundle, precision, DistanceMetric::default())?;
+        Ok(self.register_entry(Arc::new(base), ModelKey::of_bundle(bundle), precision))
     }
 
     /// Register a shared immutable base assembled from `bundle` at
     /// `precision`, keyed by [`ModelKey::of_bundle`]. Idempotent: a base
     /// already registered under the same `(key, precision)` is kept and
-    /// its key returned. Delta sessions deployed from it
+    /// its key returned. Sessions deployed from it
     /// ([`Self::register_from_base`]) share one refcounted copy of the
-    /// backbone, support set, and base classifier.
+    /// backbone and base classifier.
     ///
     /// # Errors
     /// [`StoreError::Storage`] when the bundle fails validation or
@@ -234,8 +246,8 @@ impl Fleet {
         Ok(key)
     }
 
-    /// Register a base+delta session against a base previously
-    /// registered with [`Self::register_base`]. The session starts with
+    /// Register a session against a base previously registered with
+    /// [`Self::register_base`]. The session starts with
     /// an empty [`PersonalDelta`] and — crucially — keeps the **shared**
     /// key: personalizing the delta only overlays the classifier, never
     /// the backbone, so the session stays batchable with every peer of
@@ -254,16 +266,12 @@ impl Fleet {
             .get(&(key, precision))
             .cloned()
             .ok_or(StoreError::UnknownBase(key, precision))?;
-        Ok(self.register_entry(
-            SessionModel::Delta(Box::new(DeltaSession::fresh(base))),
-            key,
-            precision,
-        ))
+        Ok(self.register_entry(base, key, precision))
     }
 
     fn register_entry(
         &self,
-        model: SessionModel,
+        base: Arc<SharedBase>,
         key: ModelKey,
         precision: Precision,
     ) -> (SessionId, Receiver<FleetReply>) {
@@ -275,20 +283,19 @@ impl Fleet {
             q.inflight.insert(id, 0);
             q.seqs.insert(id, 0);
         }
-        // Delta sessions get a self-healing loop when the fleet is
-        // configured for one (device-backed sessions carry their own via
-        // `EdgeConfig::healing` when driven directly).
-        let healing = match (&model, self.inner.config.healing) {
-            (SessionModel::Delta(_), Some(cfg)) => HealingLoop::new(cfg, None).ok().map(Box::new),
-            _ => None,
-        };
+        let healing = self
+            .inner
+            .config
+            .healing
+            .and_then(|cfg| HealingLoop::new(cfg, None).ok())
+            .map(Box::new);
         let spool = self.spool();
         {
             let mut sessions = lock_unpoisoned(&shard.sessions);
             sessions.insert(
                 id,
                 SessionEntry {
-                    model,
+                    model: SessionModel::Delta(Box::new(DeltaSession::fresh(base))),
                     key,
                     precision,
                     tx,
@@ -320,53 +327,22 @@ impl Fleet {
         lock_unpoisoned(&self.inner.spool_dir).clone()
     }
 
-    /// Remove a device-backed session, returning its device (with all
-    /// personalised state). Still-queued windows for it are dropped
-    /// unserved.
+    /// Remove a session, returning its [`PersonalDelta`] (rehydrated
+    /// first if paged). Still-queued windows for it are dropped unserved;
+    /// its spool file, if any, is deleted, and a private base goes with
+    /// it.
     ///
     /// # Errors
-    /// [`SubmitError::UnknownSession`] when the id is not registered;
-    /// [`SubmitError::NotDeviceBacked`] for a base+delta session (use
-    /// [`Self::deregister_delta`]).
-    pub fn deregister(&self, id: SessionId) -> Result<EdgeDevice, SubmitError> {
-        let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
-        let entry = {
-            let mut sessions = lock_unpoisoned(&shard.sessions);
-            match sessions.get(id.0) {
-                None => return Err(SubmitError::UnknownSession(id)),
-                Some(e) if !e.is_device() => return Err(SubmitError::NotDeviceBacked(id)),
-                Some(_) => {}
-            }
-            sessions.remove(id.0).expect("presence just checked")
-        };
-        self.reconcile_removed(shard, id.0);
-        match entry.model {
-            SessionModel::Device(device) => Ok(*device),
-            _ => unreachable!("device-backed checked above"),
-        }
-    }
-
-    /// Remove a base+delta session, returning its [`PersonalDelta`]
-    /// (rehydrated first if paged). Still-queued windows for it are
-    /// dropped unserved; its spool file, if any, is deleted.
-    ///
-    /// # Errors
-    /// [`StoreError::UnknownSession`] / [`StoreError::NotDelta`], or a
-    /// [`StoreError::Storage`] if a paged delta cannot be read back.
-    pub fn deregister_delta(&self, id: SessionId) -> Result<PersonalDelta, StoreError> {
+    /// [`StoreError::UnknownSession`], or a [`StoreError::Storage`] if a
+    /// paged delta cannot be read back.
+    pub fn deregister(&self, id: SessionId) -> Result<PersonalDelta, StoreError> {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let delta = {
             let mut sessions = lock_unpoisoned(&shard.sessions);
-            match sessions.get(id.0) {
-                None => return Err(StoreError::UnknownSession(id)),
-                Some(e) if e.is_device() => return Err(StoreError::NotDelta(id)),
-                Some(_) => {}
-            }
             sessions.ensure_hot(id.0)?;
-            let entry = sessions.remove(id.0).expect("presence just checked");
-            match entry.model {
+            match sessions.remove(id.0).expect("ensure_hot found it").model {
                 SessionModel::Delta(ds) => ds.delta,
-                _ => unreachable!("ensure_hot leaves a hot delta"),
+                SessionModel::Paged(_) => unreachable!("ensure_hot leaves the session hot"),
             }
         };
         self.reconcile_removed(shard, id.0);
@@ -459,53 +435,6 @@ impl Fleet {
         Ok(seq)
     }
 
-    /// Mutate a session's device (learn a new activity, calibrate,
-    /// import a class pack). The session is re-keyed with a fleet-issued
-    /// unique [`ModelKey`] afterwards: its weights may have diverged, so
-    /// it must never again batch with sessions holding the old key.
-    ///
-    /// # Errors
-    /// [`SubmitError::UnknownSession`] when the id is not registered.
-    pub fn update_session<R>(
-        &self,
-        id: SessionId,
-        f: impl FnOnce(&mut EdgeDevice) -> R,
-    ) -> Result<R, SubmitError> {
-        let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
-        let mut sessions = lock_unpoisoned(&shard.sessions);
-        let entry = sessions
-            .get_mut(id.0)
-            .ok_or(SubmitError::UnknownSession(id))?;
-        let SessionModel::Device(device) = &mut entry.model else {
-            return Err(SubmitError::NotDeviceBacked(id));
-        };
-        let out = f(device);
-        // The mutation may also have changed the resident precision
-        // (e.g. a redeploy helper) — refresh the batching key component.
-        entry.precision = device.precision();
-        entry.key = ModelKey::unique(self.inner.next_key.fetch_add(1, Ordering::Relaxed));
-        Ok(out)
-    }
-
-    /// Read-only access to a session's device.
-    ///
-    /// # Errors
-    /// [`SubmitError::UnknownSession`] when the id is not registered;
-    /// [`SubmitError::NotDeviceBacked`] for a base+delta session.
-    pub fn with_session<R>(
-        &self,
-        id: SessionId,
-        f: impl FnOnce(&EdgeDevice) -> R,
-    ) -> Result<R, SubmitError> {
-        let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
-        let sessions = lock_unpoisoned(&shard.sessions);
-        let entry = sessions.get(id.0).ok_or(SubmitError::UnknownSession(id))?;
-        match &entry.model {
-            SessionModel::Device(device) => Ok(f(device)),
-            _ => Err(SubmitError::NotDeviceBacked(id)),
-        }
-    }
-
     /// Calibrate a base+delta session with this user's recordings of one
     /// activity: featurize and embed the windows through the *shared*
     /// base, store their mean embedding as the user's prototype for
@@ -514,13 +443,12 @@ impl Fleet {
     /// one commit path (no accuracy floor; the session is untouched on
     /// any error).
     ///
-    /// Unlike [`Self::update_session`], this does **not** re-key the
-    /// session: the backbone is untouched, so the session stays
-    /// batchable with every peer of the same base — personalization
-    /// without forking.
+    /// This does **not** re-key the session: the backbone is untouched,
+    /// so the session stays batchable with every peer of the same base —
+    /// personalization without forking.
     ///
     /// # Errors
-    /// Store errors for unknown/device sessions; [`StoreError::Storage`]
+    /// [`StoreError::UnknownSession`]; [`StoreError::Storage`]
     /// on featurization/embedding failure, non-finite embeddings or an
     /// empty `windows`.
     pub fn calibrate_session(
@@ -573,7 +501,7 @@ impl Fleet {
     ///
     /// # Errors
     /// [`StoreError::UnknownBase`] when no base is registered under
-    /// `(new_key, precision)`; store errors for unknown/device sessions.
+    /// `(new_key, precision)`; [`StoreError::UnknownSession`].
     pub fn migrate_session(
         &self,
         id: SessionId,
@@ -606,7 +534,7 @@ impl Fleet {
     ///
     /// # Errors
     /// [`StoreError::UnknownBase`] when no base is registered under
-    /// `(key, precision)`; store errors for unknown/device sessions.
+    /// `(key, precision)`; [`StoreError::UnknownSession`].
     pub fn restore_session(
         &self,
         id: SessionId,
@@ -634,8 +562,8 @@ impl Fleet {
     }
 
     /// The model version a session currently serves (v0 for sessions on
-    /// a legacy unversioned base). Works for hot, paged, and
-    /// device-backed sessions without rehydrating.
+    /// a legacy unversioned base). Works for hot and paged sessions
+    /// without rehydrating.
     ///
     /// # Errors
     /// [`StoreError::UnknownSession`] when the id is not registered.
@@ -645,17 +573,14 @@ impl Fleet {
         let entry = sessions
             .get(id.0)
             .ok_or(StoreError::UnknownSession(id))?;
-        Ok(match &entry.model {
-            SessionModel::Device(device) => device.model_version(),
-            SessionModel::Delta(ds) => ds.base.version(),
-            SessionModel::Paged(pd) => pd.base.version(),
-        })
+        Ok(entry.model.base().version())
     }
 
     /// Set a base+delta session's per-user open-set rejection threshold.
     ///
     /// # Errors
-    /// Store errors for unknown/device sessions.
+    /// [`StoreError::UnknownSession`], or [`StoreError::Storage`] if a
+    /// paged delta cannot be read back.
     pub fn set_session_threshold(&self, id: SessionId, threshold: f32) -> Result<(), StoreError> {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
@@ -670,7 +595,8 @@ impl Fleet {
     /// (rehydrating it first if paged).
     ///
     /// # Errors
-    /// Store errors for unknown/device sessions.
+    /// [`StoreError::UnknownSession`], or [`StoreError::Storage`] if a
+    /// paged delta cannot be read back.
     pub fn session_delta(&self, id: SessionId) -> Result<PersonalDelta, StoreError> {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
@@ -684,7 +610,8 @@ impl Fleet {
     /// it serves straight off the shared base's prototypes.
     ///
     /// # Errors
-    /// Store errors for unknown/device sessions.
+    /// [`StoreError::UnknownSession`], or [`StoreError::Storage`] if a
+    /// paged delta cannot be read back.
     pub fn session_exemplar_rows(&self, id: SessionId) -> Result<usize, StoreError> {
         let shard = &self.inner.shards[id.0 as usize % self.inner.config.shards];
         let mut sessions = lock_unpoisoned(&shard.sessions);
@@ -694,7 +621,7 @@ impl Fleet {
         Ok(ncm.num_rows() - ncm.num_classes())
     }
 
-    /// Force a base+delta session out of the hot tier immediately (the
+    /// Force a session out of the hot tier immediately (the
     /// eviction the LRU would eventually perform). Returns `true` when
     /// the session was hot and is now paged. Primarily a test/ops hook —
     /// normal paging is driven by `hot_delta_capacity`.
@@ -739,8 +666,7 @@ impl Fleet {
     }
 
     /// A session's current drift status, when fleet self-healing
-    /// ([`FleetConfig::healing`]) is on and the session is delta-backed;
-    /// `None` otherwise.
+    /// ([`FleetConfig::healing`]) is on; `None` otherwise.
     ///
     /// # Errors
     /// [`SubmitError::UnknownSession`] when the id is not registered.
@@ -1028,8 +954,7 @@ fn run_windows(
 /// commit path
 /// ([`SessionStore::recalibrate_delta`], gated at the replay
 /// self-accuracy floor). The shard counters add what the loop counted.
-/// A no-op unless [`FleetConfig::healing`] is set and the session is a
-/// hot delta session.
+/// A no-op unless [`FleetConfig::healing`] is set.
 fn heal_session(
     inner: &Inner,
     shard: &Shard,
@@ -1041,7 +966,7 @@ fn heal_session(
     let Some(entry) = sessions.get_mut(req.session) else {
         return;
     };
-    let (SessionModel::Delta(_), Some(heal)) = (&entry.model, entry.healing.as_mut()) else {
+    let Some(heal) = entry.healing.as_mut() else {
         return;
     };
     let before = heal.stats();
@@ -1077,14 +1002,11 @@ fn heal_session(
 
 /// Scatter one prediction (or serving error) back to its session.
 fn reply_to(
-    sessions: &mut SessionStore,
+    sessions: &SessionStore,
     req: &Request,
     outcome: Result<magneto_core::Prediction, String>,
 ) {
-    if let Some(entry) = sessions.get_mut(req.session) {
-        if let Ok(pred) = &outcome {
-            entry.note_latency(pred.latency);
-        }
+    if let Some(entry) = sessions.get(req.session) {
         let _receiver_gone = entry.tx.send(FleetReply {
             session: SessionId(req.session),
             seq: req.seq,
@@ -1145,7 +1067,7 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
         let mut groups: BTreeMap<(ModelKey, Precision), Vec<usize>> = BTreeMap::new();
         for (i, req) in popped.iter().enumerate() {
             if let Some(msg) = rehydrate_failed.get(&req.session) {
-                reply_to(&mut sessions, req, Err(msg.clone()));
+                reply_to(&sessions, req, Err(msg.clone()));
                 continue;
             }
             if let Some(entry) = sessions.get(req.session) {
@@ -1198,7 +1120,7 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
                                 ))
                             }
                         };
-                        reply_to(&mut sessions, req, solo_outcome);
+                        reply_to(&sessions, req, solo_outcome);
                     }
                     continue;
                 }
@@ -1214,13 +1136,13 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
                     for (r, (&i, mut pred)) in indices.iter().zip(preds).enumerate() {
                         let req = &popped[i];
                         heal_session(inner, shard, &mut sessions, req, staged.row(r), &mut pred);
-                        reply_to(&mut sessions, req, Ok(pred));
+                        reply_to(&sessions, req, Ok(pred));
                     }
                 }
                 Err(e) => {
                     let msg = e.to_string();
                     for &i in indices {
-                        reply_to(&mut sessions, &popped[i], Err(msg.clone()));
+                        reply_to(&sessions, &popped[i], Err(msg.clone()));
                     }
                 }
             }
@@ -1238,7 +1160,7 @@ fn drain_shard(inner: &Inner, shard_idx: usize, embedder: &mut BatchEmbedder) ->
             }
         }
 
-        // Served delta sessions were touched by ensure_hot above; now
+        // Served sessions were touched by ensure_hot above; now
         // that the cycle is over, page out whatever the LRU says is
         // coldest if the shard is over its hot capacity.
         let spool = lock_unpoisoned(&inner.spool_dir).clone();

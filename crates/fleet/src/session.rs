@@ -14,10 +14,6 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// Bit marking fleet-issued (post-personalisation) keys, so they can
-/// never collide with caller-derived shared keys.
-const UNIQUE_BIT: u64 = 1 << 63;
-
 /// Identifies a set of backbone weights. The scheduler only merges
 /// windows from sessions whose keys are equal into one forward pass, so
 /// a key must be shared **only** between sessions running bit-identical
@@ -25,17 +21,19 @@ const UNIQUE_BIT: u64 = 1 << 63;
 ///
 /// * [`ModelKey::of_bundle`] derives a key from bundle bytes — sessions
 ///   deployed from the same bundle may share it;
-/// * any on-device personalisation through the fleet
-///   ([`crate::Fleet::update_session`]) replaces the session's key with a
-///   fleet-issued unique one, since its weights are now its own.
+/// * [`ModelKey::shared`] is a caller-attested key (e.g. a deployment
+///   version number) for callers that track model identity themselves.
+///
+/// A device that retrains on-device re-enters the fleet from its own
+/// snapshot ([`crate::Fleet::register`]), so its new weights get their
+/// own content hash and never batch with the old ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelKey(pub(crate) u64);
 
 impl ModelKey {
     /// A caller-attested shared key (e.g. a deployment version number).
-    /// The top bit is reserved for fleet-issued unique keys.
     pub fn shared(version: u64) -> Self {
-        ModelKey(version & !UNIQUE_BIT)
+        ModelKey(version)
     }
 
     /// Derive a shared key from the bundle a session was deployed from:
@@ -47,18 +45,7 @@ impl ModelKey {
         bundle
             .write_wire(false, &mut digest)
             .expect("digest sink never fails");
-        ModelKey(digest.finish() & !UNIQUE_BIT)
-    }
-
-    /// A fleet-issued never-shared key (counter from the runtime).
-    pub(crate) fn unique(counter: u64) -> Self {
-        ModelKey(counter | UNIQUE_BIT)
-    }
-
-    /// `true` when this key was issued by the fleet after
-    /// personalisation, i.e. is guaranteed unique to one session.
-    pub fn is_unique(&self) -> bool {
-        self.0 & UNIQUE_BIT != 0
+        ModelKey(digest.finish())
     }
 }
 
@@ -136,13 +123,6 @@ pub enum SubmitError {
     },
     /// No such session is registered.
     UnknownSession(SessionId),
-    /// The session exists but is not backed by a full resident
-    /// [`EdgeDevice`](magneto_core::EdgeDevice) — it is a base+delta
-    /// session in the tiered store, which device-oriented APIs
-    /// ([`crate::Fleet::deregister`], [`crate::Fleet::update_session`],
-    /// [`crate::Fleet::with_session`]) cannot operate on. Use the
-    /// delta-session APIs instead.
-    NotDeviceBacked(SessionId),
     /// The fleet is shutting down.
     ShuttingDown,
 }
@@ -188,9 +168,6 @@ impl fmt::Display for SubmitError {
                 "session quarantined after {strikes} serving panics, retry in {retry_after:?}"
             ),
             SubmitError::UnknownSession(id) => write!(f, "unknown {id}"),
-            SubmitError::NotDeviceBacked(id) => {
-                write!(f, "{id} is a base+delta session, not device-backed")
-            }
             SubmitError::ShuttingDown => write!(f, "fleet is shutting down"),
         }
     }
@@ -201,17 +178,6 @@ impl std::error::Error for SubmitError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_and_unique_keys_never_collide() {
-        let shared = ModelKey::shared(u64::MAX);
-        let unique = ModelKey::unique(!UNIQUE_BIT);
-        assert!(!shared.is_unique());
-        assert!(unique.is_unique());
-        assert_ne!(shared, unique);
-        assert_eq!(ModelKey::shared(7), ModelKey::shared(7));
-        assert_ne!(ModelKey::unique(1), ModelKey::unique(2));
-    }
 
     #[test]
     fn retry_hints_only_on_load_rejections() {

@@ -10,17 +10,22 @@
 //!
 //! * **[`SharedBase`]** — one refcounted (`Arc`) immutable copy per
 //!   `(ModelKey, Precision)`, registered once via
-//!   [`crate::Fleet::register_base`] and shared by every delta session
+//!   [`crate::Fleet::register_base`] and shared by every session
 //!   deployed from it. Because a delta only overlays the *classifier*
-//!   (prototypes), never the backbone, delta sessions keep the shared
+//!   (prototypes), never the backbone, sessions keep the shared
 //!   [`ModelKey`](crate::ModelKey) and stay batchable with their
 //!   base-model peers.
-//! * **Per-session state** — [`SessionModel`]: either a legacy
-//!   device-backed session (full resident [`EdgeDevice`]), a *hot* delta
-//!   session (delta + pre-applied NCM overlay, ready to serve), or a
-//!   *paged* delta session (delta serialized out to the crash-safe
-//!   framed-storage path, only an `Arc` to the base and a path/bytes
-//!   handle resident).
+//! * **Per-session state** — [`SessionModel`]: a *hot* session (delta +
+//!   pre-applied NCM overlay, ready to serve) or a *paged* one (delta
+//!   serialized out to the crash-safe framed-storage path, only an `Arc`
+//!   to the base and a path/bytes handle resident).
+//!
+//! Every session is a base plus a delta; there is no other kind. A
+//! device that retrains its backbone on-device re-enters the fleet
+//! through [`crate::Fleet::register`], which builds a *private* base from
+//! the device's own snapshot: held by that one session's `Arc`, keyed by
+//! the snapshot's content hash, and freed when the session is
+//! deregistered; the caller deregisters the device's old session.
 //!
 //! Hot deltas live in an LRU (touch-clock + `BTreeMap`); when a shard
 //! exceeds its configured hot capacity, the coldest deltas page out.
@@ -28,16 +33,14 @@
 //! bit-identically (see `magneto_core::delta`) and the overlay is
 //! rebuilt by re-applying the delta to the same immutable base, so a
 //! paged-out → rehydrated session serves bit-identical predictions.
-//! Device-backed sessions never page (int8 re-quantization is lossy and
-//! their state is not delta-representable); they pin hot.
 
 use crate::session::{FleetReply, ModelKey, SessionId};
 use magneto_core::incremental::ModelState;
 use magneto_core::storage::{load_framed_versioned, save_framed_versioned};
 use magneto_core::{
-    self_accuracy, stage_rows, BatchEmbedder, CoreError, EdgeBundle, EdgeDevice, HealingLoop,
-    InferenceView, LabelRegistry, ModelVersion, NcmClassifier, PersonalDelta, Precision,
-    ResidentModel, RollbackReason,
+    self_accuracy, stage_rows, BatchEmbedder, CoreError, EdgeBundle, HealingLoop, InferenceView,
+    LabelRegistry, ModelVersion, NcmClassifier, PersonalDelta, Precision, ResidentModel,
+    RollbackReason,
 };
 use magneto_dsp::PreprocessingPipeline;
 use magneto_tensor::vector::DistanceMetric;
@@ -48,18 +51,14 @@ use std::path::Path;
 use std::sync::atomic::AtomicU32;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Errors from the tiered-store APIs ([`crate::Fleet::register_base`],
-/// [`crate::Fleet::register_from_base`],
+/// Errors from the tiered-store APIs ([`crate::Fleet::register`],
+/// [`crate::Fleet::register_base`], [`crate::Fleet::register_from_base`],
 /// [`crate::Fleet::calibrate_session`], paging).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// No such session is registered.
     UnknownSession(SessionId),
-    /// The session exists but is device-backed, not a base+delta
-    /// session; delta APIs cannot operate on it.
-    NotDelta(SessionId),
     /// No base is registered under this `(key, precision)`.
     UnknownBase(ModelKey, Precision),
     /// A delta pinned to one base version met a base of another: its
@@ -82,9 +81,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::UnknownSession(id) => write!(f, "unknown {id}"),
-            StoreError::NotDelta(id) => {
-                write!(f, "{id} is device-backed, not a base+delta session")
-            }
             StoreError::UnknownBase(key, precision) => {
                 write!(f, "no shared base registered for {key:?} at {precision:?}")
             }
@@ -161,11 +157,12 @@ impl ReplayOutcome {
 
 /// One immutable, refcounted base model: everything identical across all
 /// sessions deployed from one bundle at one precision. Assembled by the
-/// same [`ModelState::from_bundle`] path as [`EdgeDevice::deploy`], so a
-/// delta session with an empty delta serves bit-identically to a
-/// device-backed session from the same bundle. The base keeps no support
-/// set: its prototypes are built at assembly, and migrate/recalibrate
-/// replay from the delta's own rows.
+/// same [`ModelState::from_bundle`] path as
+/// [`EdgeDevice::deploy`](magneto_core::EdgeDevice::deploy), so a session
+/// with an empty delta serves bit-identically to a device deployed from
+/// the same bundle. The base keeps no support set: its prototypes are
+/// built at assembly, and migrate/recalibrate replay from the delta's
+/// own rows.
 pub struct SharedBase {
     pub(crate) pipeline: PreprocessingPipeline,
     pub(crate) model: magneto_core::ResidentModel,
@@ -311,16 +308,16 @@ pub(crate) struct Candidate {
     pub(crate) delta: PersonalDelta,
 }
 
-/// Why session `id` (with this model, if registered) is not a hot
-/// delta session.
-fn not_hot(id: u64, model: Option<&SessionModel>) -> StoreError {
-    match model {
-        None => StoreError::UnknownSession(SessionId(id)),
-        Some(SessionModel::Paged(_)) => StoreError::Storage(format!(
+/// Why session `id` is not hot: unknown, or paged without
+/// [`SessionStore::ensure_hot`] having been called.
+fn not_hot(id: u64, registered: bool) -> StoreError {
+    if registered {
+        StoreError::Storage(format!(
             "{} touched while paged (ensure_hot not called)",
             SessionId(id)
-        )),
-        Some(_) => StoreError::NotDelta(SessionId(id)),
+        ))
+    } else {
+        StoreError::UnknownSession(SessionId(id))
     }
 }
 
@@ -375,18 +372,25 @@ pub(crate) struct PagedDelta {
     pub(crate) store: ColdStore,
 }
 
-/// The tiered per-session model state. The device and delta arms are
-/// boxed: a device is kilobytes, a delta session carries the overlay
-/// classifier's quantized row index, and a paged session is pointers —
-/// tiering exists precisely because the arms differ by orders of
-/// magnitude.
+/// The tiered per-session model state. The hot arm is boxed: it
+/// carries the overlay classifier's quantized row index, while a paged
+/// session is pointers — tiering exists precisely because the arms
+/// differ by orders of magnitude.
 pub(crate) enum SessionModel {
-    /// Legacy fully-resident device (own backbone copy; never pages).
-    Device(Box<EdgeDevice>),
     /// Hot base+delta session.
     Delta(Box<DeltaSession>),
     /// Cold base+delta session (delta paged out).
     Paged(PagedDelta),
+}
+
+impl SessionModel {
+    /// The base this session serves on, hot or paged.
+    pub(crate) fn base(&self) -> &Arc<SharedBase> {
+        match self {
+            SessionModel::Delta(ds) => &ds.base,
+            SessionModel::Paged(pd) => &pd.base,
+        }
+    }
 }
 
 /// One registered session: tiered model state plus serving bookkeeping.
@@ -397,8 +401,8 @@ pub(crate) struct SessionEntry {
     pub(crate) tx: Sender<FleetReply>,
     pub(crate) strikes: u32,
     pub(crate) armed_panics: AtomicU32,
-    /// Self-healing loop, present on delta sessions when
-    /// [`crate::FleetConfig::healing`] is set. Lives on the entry, not
+    /// Self-healing loop, present when [`crate::FleetConfig::healing`]
+    /// is set. Lives on the entry, not
     /// the model, so it survives page-out/rehydrate cycles and base
     /// migrations.
     pub(crate) healing: Option<Box<HealingLoop>>,
@@ -410,7 +414,6 @@ impl SessionEntry {
     /// `None` here during serving is a logic error upstream.
     pub(crate) fn view(&self) -> Option<InferenceView<'_>> {
         match &self.model {
-            SessionModel::Device(device) => Some(device.inference_view()),
             SessionModel::Delta(ds) => Some(InferenceView {
                 pipeline: &ds.base.pipeline,
                 model: &ds.base.model,
@@ -420,31 +423,27 @@ impl SessionEntry {
         }
     }
 
-    pub(crate) fn is_device(&self) -> bool {
-        matches!(self.model, SessionModel::Device(_))
-    }
-
-    /// Record a served latency (device-backed sessions keep their own
-    /// recorder; delta sessions are covered by shard counters).
-    pub(crate) fn note_latency(&mut self, latency: Duration) {
-        if let SessionModel::Device(device) = &mut self.model {
-            device.note_latency(latency);
-        }
-    }
-
-    /// Bytes this session holds resident *beyond* its shared base.
+    /// Bytes this session holds resident *beyond* a shared base. A base
+    /// no one else holds (a private base from [`crate::Fleet::register`])
+    /// is this session's own cost and is counted here.
     fn resident_bytes(&self) -> usize {
-        match &self.model {
-            SessionModel::Device(device) => device.resident_bytes(),
-            SessionModel::Delta(ds) => {
-                let overlay = ds.overlay.as_ref().map_or(0, NcmClassifier::resident_bytes);
-                ds.delta.resident_bytes() + overlay
+        let base = self.model.base();
+        let private = if Arc::strong_count(base) == 1 {
+            base.bytes()
+        } else {
+            0
+        };
+        private
+            + match &self.model {
+                SessionModel::Delta(ds) => {
+                    let overlay = ds.overlay.as_ref().map_or(0, NcmClassifier::resident_bytes);
+                    ds.delta.resident_bytes() + overlay
+                }
+                SessionModel::Paged(pd) => match &pd.store {
+                    ColdStore::Memory(bytes) => bytes.len(),
+                    ColdStore::Disk(_) => 0,
+                },
             }
-            SessionModel::Paged(pd) => match &pd.store {
-                ColdStore::Memory(bytes) => bytes.len(),
-                ColdStore::Disk(_) => 0,
-            },
-        }
     }
 }
 
@@ -453,26 +452,26 @@ impl SessionEntry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct TierSnapshot {
     /// Per-session resident bytes across the shard (excludes shared
-    /// bases, which are fleet-global and counted once).
+    /// bases, which are fleet-global and counted once; includes private
+    /// ones).
     pub resident_bytes: usize,
-    /// Sessions currently serveable without rehydration (devices + hot
-    /// deltas).
+    /// Sessions currently serveable without rehydration.
     pub hot_sessions: usize,
-    /// Delta sessions currently paged out.
+    /// Sessions currently paged out.
     pub paged_sessions: usize,
     /// Lifetime count of page-ins (cold session touched by a submit).
     pub rehydrations: u64,
 }
 
-/// One shard's session map with LRU tiering over its delta sessions.
+/// One shard's session map with LRU tiering over its sessions.
 ///
 /// All methods assume the caller holds the shard's session lock — this
 /// type adds no synchronisation of its own (mirrors the plain `HashMap`
 /// it replaced).
 pub(crate) struct SessionStore {
     entries: HashMap<u64, SessionEntry>,
-    /// touch-stamp → session id, oldest first. Only hot delta sessions
-    /// appear here; devices pin hot, paged sessions left the tier.
+    /// touch-stamp → session id, oldest first. Only hot sessions appear
+    /// here; paged sessions left the tier.
     lru: BTreeMap<u64, u64>,
     clock: u64,
     hot_deltas: usize,
@@ -504,33 +503,32 @@ impl SessionStore {
         self.entries.get_mut(&id)
     }
 
-    /// A **hot** delta session (call [`ensure_hot`](Self::ensure_hot)
-    /// first).
+    /// A **hot** session (call [`ensure_hot`](Self::ensure_hot) first).
     pub(crate) fn delta(&self, id: u64) -> Result<&DeltaSession, StoreError> {
         match self.entries.get(&id).map(|e| &e.model) {
             Some(SessionModel::Delta(ds)) => Ok(ds),
-            other => Err(not_hot(id, other)),
+            other => Err(not_hot(id, other.is_some())),
         }
     }
 
-    /// Mutable access to a **hot** delta session (call
+    /// Mutable access to a **hot** session (call
     /// [`ensure_hot`](Self::ensure_hot) first).
     pub(crate) fn delta_mut(&mut self, id: u64) -> Result<&mut DeltaSession, StoreError> {
         match self.entries.get_mut(&id).map(|e| &mut e.model) {
             Some(SessionModel::Delta(ds)) => Ok(ds),
-            other => Err(not_hot(id, other.map(|m| &*m))),
+            other => Err(not_hot(id, other.is_some())),
         }
     }
 
     pub(crate) fn insert(&mut self, id: u64, entry: SessionEntry) {
-        match &entry.model {
-            SessionModel::Delta(_) => self.hot_deltas += 1,
-            SessionModel::Paged(_) => self.paged += 1,
-            SessionModel::Device(_) => {}
+        let hot = matches!(entry.model, SessionModel::Delta(_));
+        if hot {
+            self.hot_deltas += 1;
+        } else {
+            self.paged += 1;
         }
-        let is_delta = matches!(entry.model, SessionModel::Delta(_));
         self.entries.insert(id, entry);
-        if is_delta {
+        if hot {
             self.touch(id);
         }
     }
@@ -550,13 +548,12 @@ impl SessionStore {
                     let _ = std::fs::remove_file(path);
                 }
             }
-            SessionModel::Device(_) => {}
         }
         Some(entry)
     }
 
-    /// Mark a delta session most-recently-used. No-op for devices,
-    /// paged, and unknown sessions.
+    /// Mark a session most-recently-used. No-op for paged and unknown
+    /// sessions.
     pub(crate) fn touch(&mut self, id: u64) {
         if let Some(entry) = self.entries.get_mut(&id) {
             if let SessionModel::Delta(ds) = &mut entry.model {
@@ -573,7 +570,7 @@ impl SessionStore {
     /// Rehydrate `id` if it is paged: load the delta bytes (memory or
     /// crash-safe disk frame), decode, and rebuild the overlay against
     /// the same immutable base. Returns `true` if a rehydration
-    /// happened. Hot and device sessions are touched and left alone.
+    /// happened. Hot sessions are touched and left alone.
     pub(crate) fn ensure_hot(&mut self, id: u64) -> Result<bool, StoreError> {
         let entry = self
             .entries
@@ -617,8 +614,8 @@ impl SessionStore {
     /// Page a hot delta session out: serialize the delta, spill it to
     /// the spool directory via the crash-safe framed path (falling back
     /// to an in-memory spill if no spool is set or the write fails), and
-    /// drop the overlay. Returns `true` if the session was a hot delta
-    /// and is now paged.
+    /// drop the overlay. Returns `true` if the session was hot and is now
+    /// paged.
     pub(crate) fn page_out(&mut self, id: u64, spool: Option<&Path>) -> bool {
         let Some(entry) = self.entries.get_mut(&id) else {
             return false;
@@ -651,9 +648,9 @@ impl SessionStore {
         true
     }
 
-    /// Evict least-recently-used delta sessions until at most
-    /// `capacity` remain hot. `capacity == 0` disables tiering (all
-    /// deltas stay resident).
+    /// Evict least-recently-used sessions until at most `capacity`
+    /// remain hot. `capacity == 0` disables tiering (all deltas stay
+    /// resident).
     pub(crate) fn enforce_capacity(&mut self, capacity: usize, spool: Option<&Path>) {
         if capacity == 0 {
             return;
@@ -663,14 +660,14 @@ impl SessionStore {
                 break;
             };
             if !self.page_out(id, spool) {
-                // An LRU entry must be a hot delta; bail rather than spin
+                // An LRU entry must be a hot session; bail rather than spin
                 // if the invariant is ever broken.
                 break;
             }
         }
     }
 
-    /// The one commit path for a hot delta session: stage `candidate`
+    /// The one commit path for a hot session: stage `candidate`
     /// aside, rebuild its overlay, gate it, and swap it in.
     ///
     /// Nothing touches the session until every check has passed, so on
@@ -722,14 +719,14 @@ impl SessionStore {
             }
         }
         let classes = ncm.num_classes();
-        let entry = self.entries.get_mut(&id).expect("hot delta checked above");
+        let entry = self.entries.get_mut(&id).expect("hot entry checked above");
         entry.model = SessionModel::Delta(Box::new(session));
         entry.key = key;
         entry.precision = precision;
         Ok(Ok(classes))
     }
 
-    /// Transactionally migrate a hot delta session onto `new_base`,
+    /// Transactionally migrate a hot session onto `new_base`,
     /// replaying the user's calibration through the new backbone, and
     /// commit it through [`commit_delta`](Self::commit_delta) gated at
     /// `accuracy_floor`.
@@ -777,7 +774,7 @@ impl SessionStore {
         Ok(ReplayOutcome::from_gate(gate, replayed))
     }
 
-    /// Transactionally recalibrate a hot delta session from harvested
+    /// Transactionally recalibrate a hot session from harvested
     /// drift evidence: `rows` become the refreshed support for `label`
     /// (the exact [`crate::Fleet::calibrate_session`] computation), and
     /// the candidate commits through [`commit_delta`](Self::commit_delta)

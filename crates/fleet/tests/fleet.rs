@@ -1,12 +1,12 @@
 //! Fleet integration tests: the determinism guarantee (fleet output is
 //! bit-identical to sequential per-device inference at any worker/shard
-//! count), explicit backpressure, admission control, re-keying, and
-//! cross-session isolation.
+//! count), explicit backpressure, admission control, the
+//! retrain-and-re-register path, and cross-session isolation.
 
 use magneto_core::{
-    CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, Prediction,
+    CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, Precision, Prediction,
 };
-use magneto_fleet::{Fleet, FleetConfig, FleetReply, ModelKey, SessionId, SubmitError};
+use magneto_fleet::{Fleet, FleetConfig, FleetReply, ModelKey, SessionId, StoreError, SubmitError};
 use magneto_sensors::pool::StreamPool;
 use magneto_sensors::stream::StreamConfig;
 use magneto_sensors::{ActivityKind, GeneratorConfig, PersonProfile, SensorDataset};
@@ -28,6 +28,22 @@ fn bundle() -> &'static EdgeBundle {
 
 fn device() -> EdgeDevice {
     EdgeDevice::deploy(bundle().clone(), EdgeConfig::default()).unwrap()
+}
+
+/// Register `users` sessions on `bundle()` at f32: even users on the
+/// shared base, odd users on private bases built from the same bundle.
+/// Both carry the bundle's content key, so they batch together.
+fn register_users(fleet: &Fleet, users: usize) -> Vec<(SessionId, Receiver<FleetReply>)> {
+    let key = fleet.register_base(bundle(), Precision::F32).unwrap();
+    (0..users)
+        .map(|u| {
+            if u % 2 == 0 {
+                fleet.register_from_base(key, Precision::F32).unwrap()
+            } else {
+                fleet.register(bundle(), Precision::F32).unwrap()
+            }
+        })
+        .collect()
 }
 
 fn traffic(users: usize, rounds: usize, seed: u64) -> Vec<Vec<Vec<Vec<f32>>>> {
@@ -92,9 +108,7 @@ fn assert_fleet_matches_sequential(workers: usize, shards: usize, seed: u64) {
         ..FleetConfig::default()
     })
     .unwrap();
-    let key = ModelKey::of_bundle(bundle());
-    let registered: Vec<(SessionId, Receiver<FleetReply>)> =
-        (0..users).map(|_| fleet.register(device(), key)).collect();
+    let registered = register_users(&fleet, users);
 
     // Interleave submissions round-robin, the worst case for accidental
     // cross-session mixups.
@@ -173,7 +187,7 @@ fn saturated_shard_rejects_instead_of_growing() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let (id, rx) = fleet.register(device(), ModelKey::shared(1));
+    let (id, rx) = fleet.register(bundle(), Precision::F32).unwrap();
     let window = traffic(1, 1, 5)[0][0].clone();
 
     let mut accepted = 0;
@@ -215,8 +229,8 @@ fn per_session_and_global_inflight_caps_apply() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let (a, _rx_a) = fleet.register(device(), ModelKey::shared(1));
-    let (b, _rx_b) = fleet.register(device(), ModelKey::shared(1));
+    let sessions = register_users(&fleet, 2);
+    let (a, b) = (sessions[0].0, sessions[1].0);
     let window = traffic(1, 1, 6)[0][0].clone();
 
     assert!(fleet.submit(a, window.clone()).is_ok());
@@ -233,20 +247,24 @@ fn per_session_and_global_inflight_caps_apply() {
     assert_eq!(fleet.in_flight(), 3);
 }
 
+/// The path a learning user takes: the device retrains on-device, then
+/// re-enters the fleet on a private base built from its own snapshot,
+/// and the old session is deregistered.
 #[test]
-fn personalisation_rekeys_a_session() {
+fn retrained_device_reenters_the_fleet_on_a_private_base() {
     let mut fleet = Fleet::new(FleetConfig {
         workers: 0,
         shards: 1,
         ..FleetConfig::default()
     })
     .unwrap();
-    let key = ModelKey::of_bundle(bundle());
-    let (a, rx_a) = fleet.register(device(), key);
-    let (b, rx_b) = fleet.register(device(), key);
-    assert_eq!(fleet.session_key(a).unwrap(), fleet.session_key(b).unwrap());
+    let key = fleet.register_base(bundle(), Precision::F32).unwrap();
+    let (old_a, _rx_old_a) = fleet.register_from_base(key, Precision::F32).unwrap();
+    let (b, rx_b) = fleet.register_from_base(key, Precision::F32).unwrap();
+    let bases = fleet.num_bases();
 
-    // Session A learns a private gesture on-device, through the fleet.
+    // User A's device learns a private gesture on-device.
+    let mut device_a = device();
     let recording = SensorDataset::record_session(
         "secret_gesture",
         ActivityKind::GestureHi,
@@ -254,30 +272,42 @@ fn personalisation_rekeys_a_session() {
         25.0,
         9,
     );
-    fleet
-        .update_session(a, |dev| {
-            dev.learn_new_activity("secret_gesture", &recording)
-                .unwrap()
-                .committed()
-                .unwrap();
-        })
+    device_a
+        .learn_new_activity("secret_gesture", &recording)
+        .unwrap()
+        .committed()
         .unwrap();
+    let snapshot = device_a.as_bundle();
+    let (a, rx_a) = fleet.register(&snapshot, Precision::F32).unwrap();
+    fleet.deregister(old_a).unwrap();
+
+    // The private base stays out of the shared map, and its content key
+    // differs from the stock one: A never batches with B.
+    assert_eq!(fleet.num_bases(), bases);
     let key_a = fleet.session_key(a).unwrap();
-    assert!(key_a.is_unique());
+    assert_eq!(key_a, ModelKey::of_bundle(&snapshot));
     assert_ne!(key_a, fleet.session_key(b).unwrap());
 
-    // Both still serve; B's predictions never mention A's class.
     let per_user = traffic(2, 2, 10);
     for (wa, wb) in per_user[0].iter().zip(&per_user[1]) {
         fleet.submit(a, wa.clone()).unwrap();
         fleet.submit(b, wb.clone()).unwrap();
     }
     fleet.pump();
-    let classes_b = fleet.with_session(b, |dev| dev.classes()).unwrap();
-    for reply in collect(&rx_a, 2) {
-        let pred = reply.outcome.unwrap();
-        assert_eq!(pred.distances.len(), 6); // 5 base + the new gesture
+
+    // A serves the snapshot exactly as the device deployed from it would.
+    let mut oracle = EdgeDevice::deploy(snapshot, EdgeConfig::default()).unwrap();
+    for (reply, window) in collect(&rx_a, 2).iter().zip(&per_user[0]) {
+        let got = reply.outcome.as_ref().unwrap();
+        assert_eq!(got.distances.len(), 6); // 5 base + the new gesture
+        let want = oracle.infer_window(window).unwrap();
+        assert_eq!(got.label, want.label);
+        assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        let bits = |p: &Prediction| p.distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want));
     }
+    // B still serves the stock classes and never A's private one.
+    let classes_b = device().classes();
     for reply in collect(&rx_b, 2) {
         let pred = reply.outcome.unwrap();
         assert_eq!(pred.distances.len(), 5);
@@ -287,29 +317,30 @@ fn personalisation_rekeys_a_session() {
 }
 
 #[test]
-fn deregister_returns_device_and_drops_queued_windows() {
+fn deregister_returns_delta_and_drops_queued_windows() {
     let mut fleet = Fleet::new(FleetConfig {
         workers: 0,
         shards: 1,
         ..FleetConfig::default()
     })
     .unwrap();
-    let (a, rx_a) = fleet.register(device(), ModelKey::shared(1));
-    let (b, rx_b) = fleet.register(device(), ModelKey::shared(1));
+    let mut sessions = register_users(&fleet, 2).into_iter();
+    let (a, rx_a) = sessions.next().unwrap();
+    let (b, rx_b) = sessions.next().unwrap();
     let window = traffic(1, 1, 11)[0][0].clone();
     fleet.submit(a, window.clone()).unwrap();
     fleet.submit(b, window.clone()).unwrap();
 
-    let dev_a = fleet.deregister(a).unwrap();
-    assert_eq!(dev_a.classes().len(), 5);
+    let delta_a = fleet.deregister(a).unwrap();
+    assert!(delta_a.is_empty());
     assert!(matches!(
         fleet.submit(a, window.clone()),
         Err(SubmitError::UnknownSession(_))
     ));
-    assert!(matches!(
-        fleet.deregister(a),
-        Err(SubmitError::UnknownSession(_))
-    ));
+    assert_eq!(
+        fleet.deregister(a).unwrap_err(),
+        StoreError::UnknownSession(a)
+    );
 
     // B's window still serves; A's died with the session.
     fleet.pump();
@@ -326,9 +357,7 @@ fn shutdown_serves_everything_already_admitted() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let key = ModelKey::of_bundle(bundle());
-    let sessions: Vec<(SessionId, Receiver<FleetReply>)> =
-        (0..4).map(|_| fleet.register(device(), key)).collect();
+    let sessions = register_users(&fleet, 4);
     let per_user = traffic(4, 2, 12);
     for r in 0..2 {
         for ((id, _), user) in sessions.iter().zip(&per_user) {
@@ -349,15 +378,12 @@ fn fleet_latency_stats_feed_each_device() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let (id, _rx) = fleet.register(device(), ModelKey::shared(3));
+    let (id, _rx) = fleet.register(bundle(), Precision::F32).unwrap();
     let per_user = traffic(1, 3, 13);
     for w in &per_user[0] {
         fleet.submit(id, w.clone()).unwrap();
     }
     fleet.pump();
-    let stats = fleet.with_session(id, |dev| dev.latency_stats()).unwrap();
-    assert_eq!(stats.count, 3);
-    assert!(stats.mean_us > 0.0);
     let shard = &fleet.shard_stats()[0];
     assert_eq!(shard.latency.count, 3);
     assert!(shard.mean_batch() >= 1.0);
@@ -393,9 +419,7 @@ fn panicking_session_is_quarantined_and_innocents_match_sequential() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let key = ModelKey::of_bundle(bundle());
-    let registered: Vec<(SessionId, Receiver<FleetReply>)> =
-        (0..users).map(|_| fleet.register(device(), key)).collect();
+    let registered = register_users(&fleet, users);
     let victim_id = registered[victim].0;
 
     // Two armed panics, one per victim window: each served victim window
@@ -480,7 +504,7 @@ fn quarantine_half_opens_after_expiry_and_retrips_on_next_strike() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let (id, rx) = fleet.register(device(), ModelKey::of_bundle(bundle()));
+    let (id, rx) = fleet.register(bundle(), Precision::F32).unwrap();
     let per_user = traffic(1, 3, 92);
     let oracle = device().infer_window(&per_user[0][1]).unwrap();
 
@@ -534,7 +558,7 @@ fn zero_strike_threshold_disables_the_breaker() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let (id, rx) = fleet.register(device(), ModelKey::of_bundle(bundle()));
+    let (id, rx) = fleet.register(bundle(), Precision::F32).unwrap();
     let per_user = traffic(1, 2, 93);
 
     fleet.arm_panics(id, 1).unwrap();

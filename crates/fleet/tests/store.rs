@@ -9,7 +9,7 @@ use magneto_core::{
     NcmClassifier, PersonalDelta, Precision, Prediction, RollbackReason,
 };
 use magneto_fleet::{
-    Fleet, FleetConfig, FleetReply, ModelKey, ReplayOutcome, SessionId, StoreError, SubmitError,
+    Fleet, FleetConfig, FleetReply, ModelKey, ReplayOutcome, SessionId, StoreError,
 };
 use magneto_sensors::pool::StreamPool;
 use magneto_sensors::stream::StreamConfig;
@@ -75,9 +75,8 @@ fn streamed_model_key_matches_full_buffer_fnv() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    let reference = ModelKey::shared(hash); // masks the unique bit
+    let reference = ModelKey::shared(hash);
     assert_eq!(ModelKey::of_bundle(bundle()), reference);
-    assert!(!ModelKey::of_bundle(bundle()).is_unique());
 }
 
 // ---------------------------------------------------------------------
@@ -161,27 +160,43 @@ proptest! {
 fn empty_delta_session_serves_like_a_device() {
     let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
     let key = fleet.register_base(bundle(), Precision::F32).unwrap();
-    let device = EdgeDevice::deploy(bundle().clone(), EdgeConfig::default()).unwrap();
-    let (dev_id, dev_rx) = fleet.register(device, key);
-    let (delta_id, delta_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+    let resident = |fleet: &Fleet| -> usize {
+        fleet.shard_stats().iter().map(|s| s.resident_bytes).sum()
+    };
+    let (shared_id, shared_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+    let empty_session = resident(&fleet);
+    let (private_id, private_rx) = fleet.register(bundle(), Precision::F32).unwrap();
+    let mut device = EdgeDevice::deploy(bundle().clone(), EdgeConfig::default()).unwrap();
 
-    // Same shared key — the scheduler batches them into one forward.
-    assert_eq!(fleet.session_key(dev_id).unwrap(), key);
-    assert_eq!(fleet.session_key(delta_id).unwrap(), key);
+    // The shared base is counted once, fleet-wide; a private base is its
+    // one session's own resident cost (the same bytes, same bundle).
+    assert_eq!(
+        resident(&fleet) - 2 * empty_session,
+        fleet.bases_resident_bytes()
+    );
+
+    // A private base from the same bundle carries the same content key,
+    // so the scheduler batches it with the shared base's sessions.
+    assert_eq!(fleet.session_key(shared_id).unwrap(), key);
+    assert_eq!(fleet.session_key(private_id).unwrap(), key);
 
     for window in windows(4, 11) {
-        fleet.submit(dev_id, window.clone()).unwrap();
-        fleet.submit(delta_id, window).unwrap();
+        let want = device.infer_window(&window).unwrap();
+        fleet.submit(shared_id, window.clone()).unwrap();
+        fleet.submit(private_id, window).unwrap();
         fleet.pump();
-        let a = recv_ok(&dev_rx);
-        let b = recv_ok(&delta_rx);
-        assert_bit_identical(&a, &b);
+        assert_bit_identical(&recv_ok(&shared_rx), &want);
+        assert_bit_identical(&recv_ok(&private_rx), &want);
     }
     let stats = fleet.shard_stats();
     assert!(
         stats.iter().any(|s| s.max_batch >= 2),
-        "device + delta session sharing a key never batched together"
+        "shared and private sessions sharing a key never batched together"
     );
+
+    // An unregistered base is reported as such.
+    let missing = fleet.register_from_base(ModelKey::shared(424_242), Precision::F32);
+    assert!(matches!(missing, Err(StoreError::UnknownBase(_, _))));
     fleet.shutdown();
 }
 
@@ -198,9 +213,8 @@ fn calibration_keeps_the_shared_key_and_stays_batchable() {
         .unwrap();
     fleet.set_session_threshold(a, 0.75).unwrap();
 
-    // Unlike update_session, personalization does NOT fork the key.
+    // Personalization does NOT fork the key.
     assert_eq!(fleet.session_key(a).unwrap(), key);
-    assert!(!fleet.session_key(a).unwrap().is_unique());
     let delta = fleet.session_delta(a).unwrap();
     assert!(delta.prototype("user_move").is_some());
     assert_eq!(delta.threshold(), Some(0.75));
@@ -269,7 +283,7 @@ fn paged_out_session_rehydrates_bit_identically() {
     assert!(stats.iter().map(|s| s.rehydrations).sum::<u64>() >= 1);
 
     // The rehydrated delta equals the pre-eviction one exactly.
-    let delta = fleet.deregister_delta(id).unwrap();
+    let delta = fleet.deregister(id).unwrap();
     assert!(delta.prototype("user_move").is_some());
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
@@ -313,51 +327,6 @@ fn lru_capacity_evicts_coldest_and_resident_bytes_shrink() {
     );
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
-}
-
-// ---------------------------------------------------------------------
-// API boundaries between device-backed and base+delta sessions.
-// ---------------------------------------------------------------------
-
-#[test]
-fn device_and_delta_apis_reject_the_wrong_session_kind() {
-    let fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
-    let key = fleet.register_base(bundle(), Precision::F32).unwrap();
-    let (delta_id, _delta_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
-    let device = EdgeDevice::deploy(bundle().clone(), EdgeConfig::default()).unwrap();
-    let (dev_id, _dev_rx) = fleet.register(device, key);
-
-    // Device APIs on a delta session.
-    assert_eq!(
-        fleet.with_session(delta_id, |d| d.classes()).unwrap_err(),
-        SubmitError::NotDeviceBacked(delta_id)
-    );
-    assert_eq!(
-        fleet.update_session(delta_id, |_| ()).unwrap_err(),
-        SubmitError::NotDeviceBacked(delta_id)
-    );
-    assert_eq!(
-        fleet.deregister(delta_id).unwrap_err(),
-        SubmitError::NotDeviceBacked(delta_id)
-    );
-
-    // Delta APIs on a device session.
-    assert_eq!(
-        fleet.deregister_delta(dev_id).unwrap_err(),
-        StoreError::NotDelta(dev_id)
-    );
-    assert!(fleet.session_delta(dev_id).is_err());
-    // Devices never page.
-    assert!(!fleet.page_out(dev_id).unwrap());
-
-    // Unknown base is reported as such.
-    let missing = fleet.register_from_base(ModelKey::shared(424_242), Precision::F32);
-    assert!(matches!(missing, Err(StoreError::UnknownBase(_, _))));
-
-    // Both still deregister cleanly through their own APIs.
-    fleet.deregister_delta(delta_id).unwrap();
-    fleet.deregister(dev_id).unwrap().classes();
-    fleet.shutdown();
 }
 
 // ---------------------------------------------------------------------

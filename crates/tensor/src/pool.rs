@@ -325,22 +325,6 @@ impl Exec {
         Exec::from_plan(KernelPlan::inline().with_threads(threads))
     }
 
-    /// A clone of this context running `plan` on the **same** pool
-    /// (plan sanitized; thread count capped at the pool's capacity).
-    pub fn with_plan(&self, plan: KernelPlan) -> Self {
-        let mut plan = plan.sanitized();
-        let cap = self.pool.as_ref().map_or(1, |p| p.workers() + 1);
-        plan.threads = plan.threads.min(cap);
-        Exec {
-            plan,
-            pool: if plan.threads > 1 {
-                self.pool.clone()
-            } else {
-                None
-            },
-        }
-    }
-
     /// The active plan.
     pub fn plan(&self) -> KernelPlan {
         self.plan
@@ -532,13 +516,8 @@ mod tests {
     #[test]
     fn exec_threads_reflect_plan_and_pool() {
         assert_eq!(Exec::inline().threads(), 1);
-        let e = Exec::with_threads(3);
-        assert_eq!(e.threads(), 3);
-        // Re-plan on the same pool: capped at pool capacity.
-        let wide = e.with_plan(KernelPlan::inline().with_threads(8));
-        assert_eq!(wide.threads(), 3);
-        let narrow = e.with_plan(KernelPlan::inline());
-        assert_eq!(narrow.threads(), 1);
+        assert_eq!(Exec::with_threads(3).threads(), 3);
+        assert_eq!(Exec::from_plan(KernelPlan::inline()).threads(), 1);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! runtime — the ROADMAP's "production-scale system" sketched on one
 //! machine.
 //!
-//! One Cloud bundle is deployed 64 times; a quarter of the users then
-//! calibrate their session on a short personal recording (on-device,
-//! nothing uploaded), which re-keys them so their diverged weights never
-//! batch with the stock model. Producer threads submit traffic
+//! One Cloud bundle is registered once as a shared base and 64 sessions
+//! are deployed from it; a quarter of the users then calibrate their
+//! session on a short personal recording through the fleet's own
+//! calibration path. The user's prototype lands in their personal delta
+//! (nothing uploaded) and the backbone stays shared, so calibrated
+//! sessions keep their key and keep batching with the stock ones.
+//! Producer threads submit traffic
 //! concurrently with retry-on-backpressure; worker threads coalesce
 //! pending windows across sessions into single backbone forwards. The
 //! run ends with the per-shard serving table and the fleet energy
@@ -63,12 +66,7 @@ fn main() {
         "[fleet] compute (shared across workers): {}",
         fleet.compute_plan().describe()
     );
-    let key = ModelKey::of_bundle(&bundle);
-
-    // Cheap on-device calibration for the demo: a couple of epochs is
-    // enough to diverge the weights and exercise re-keying.
-    let mut edge_cfg = EdgeConfig::default();
-    edge_cfg.incremental.trainer.epochs = 2;
+    let key = fleet.register_base(&bundle, Precision::F32).unwrap();
 
     println!("[edge] deploying {USERS} sessions ({bundle_bytes} bytes each)…");
     let mut accounting =
@@ -76,8 +74,7 @@ fn main() {
     let sessions: Vec<_> = (0..USERS)
         .map(|_| {
             accounting.record_deploy(bundle_bytes);
-            let dev = EdgeDevice::deploy(bundle.clone(), edge_cfg).unwrap();
-            fleet.register(dev, key)
+            fleet.register_from_base(key, Precision::F32).unwrap()
         })
         .collect();
 
@@ -92,19 +89,16 @@ fn main() {
             10.0,
             1000 + u as u64,
         );
+        let windows: Vec<Vec<Vec<f32>>> =
+            recording.windows.into_iter().map(|w| w.channels).collect();
         fleet
-            .update_session(sessions[u].0, |dev| {
-                dev.calibrate_activity(recording.windows[0].label.as_str(), &recording)
-                    .unwrap()
-                    .committed()
-                    .unwrap();
-            })
+            .calibrate_session(sessions[u].0, pool.activity(u).label(), &windows)
             .unwrap();
-        assert!(fleet.session_key(sessions[u].0).unwrap().is_unique());
+        assert_eq!(fleet.session_key(sessions[u].0).unwrap(), key);
         calibrated += 1;
     }
     println!(
-        "        {calibrated} sessions calibrated and re-keyed in {:.1}s\n",
+        "        {calibrated} sessions calibrated in {:.1}s, still on the shared key\n",
         calib_start.elapsed().as_secs_f64()
     );
 
