@@ -1,7 +1,9 @@
 //! On-device training smoke test (wired into `make check`): times the
-//! Siamese train step and batched inference across compute-pool sizes,
-//! emits machine-readable `BENCH_train.json` / `BENCH_infer.json`, and
-//! gates on two properties of the parallel execution path:
+//! Siamese train step at the served update shape (the paper backbone,
+//! `TrainerConfig::edge_update()`'s 64 pairs = 128 stacked rows) and
+//! batched inference across compute-pool sizes, emits machine-readable
+//! `BENCH_train.json` / `BENCH_infer.json`, and gates on two properties
+//! of the parallel execution path:
 //!
 //! 1. **Determinism** — the trained weights (and inference embeddings)
 //!    must be bit-identical at every pool size, including fully inline.
@@ -19,15 +21,14 @@
 
 use magneto_nn::pairs::{sample_pairs, PairSample};
 use magneto_nn::siamese::TrainScratch;
-use magneto_nn::{Adam, Mlp, SiameseNetwork};
+use magneto_nn::{Adam, Mlp, SiameseNetwork, TrainerConfig, PAPER_BACKBONE};
 use magneto_tensor::{Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
 use serde::Serialize;
 use std::time::Instant;
 
-const DIMS: &[usize] = &[80, 512, 256, 128];
+const DIMS: &[usize] = &PAPER_BACKBONE;
 const CLASSES: usize = 4;
 const ROWS_PER_CLASS: usize = 32;
-const PAIRS_PER_STEP: usize = 32;
 const TRAIN_STEPS: usize = 30;
 const INFER_REPS: usize = 50;
 const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
@@ -49,6 +50,11 @@ struct BenchEntry {
 #[derive(Serialize)]
 struct BenchReport {
     bench: String,
+    /// Backbone layer widths of the timed call.
+    dims: Vec<usize>,
+    /// Rows through the backbone per timed call (a train step stacks
+    /// both views of each pair).
+    rows_per_call: usize,
     plan: String,
     backend: String,
     host_threads: usize,
@@ -147,10 +153,11 @@ fn main() {
     println!("train_smoke: kernel plan [{}]", plan.describe());
 
     let (features, labels) = dataset();
+    let pairs_per_step = TrainerConfig::edge_update().batch_pairs;
     let mut rng = SeededRng::new(0x5EED);
     let init = SiameseNetwork::new(Mlp::new(DIMS, &mut rng).expect("backbone"), 1.0);
     let batches: Vec<Vec<PairSample>> = (0..TRAIN_STEPS)
-        .map(|_| sample_pairs(&labels, PAIRS_PER_STEP, &mut rng))
+        .map(|_| sample_pairs(&labels, pairs_per_step, &mut rng))
         .collect();
 
     // ---- training sweep -------------------------------------------------
@@ -233,6 +240,8 @@ fn main() {
         "BENCH_train.json",
         &BenchReport {
             bench: "train_siamese_step".into(),
+            dims: DIMS.to_vec(),
+            rows_per_call: 2 * pairs_per_step,
             plan: plan.describe(),
             backend: plan.backend.to_string(),
             host_threads,
@@ -322,6 +331,8 @@ fn main() {
         "BENCH_infer.json",
         &BenchReport {
             bench: "batched_embed".into(),
+            dims: DIMS.to_vec(),
+            rows_per_call: features.rows(),
             plan: plan.describe(),
             backend: plan.backend.to_string(),
             host_threads,

@@ -82,10 +82,70 @@ pub struct LatencyStats {
     pub max_us: f64,
 }
 
-/// Records latencies and summarises them.
-#[derive(Debug, Clone, Default)]
+/// Sub-buckets per power of two: a bucket spans at most 1/32 of the
+/// values in it (≈3 % relative width).
+const SUB_BITS: u32 = 5;
+const SUB: usize = 1 << SUB_BITS;
+/// Latencies are bucketed in whole nanoseconds below 2⁴⁰ ns (≈18 min);
+/// longer ones share the last bucket.
+const TOP_BITS: u32 = 40;
+const BUCKETS: usize = (TOP_BITS - SUB_BITS + 1) as usize * SUB;
+
+/// Bucket of a latency of `ns` nanoseconds: exact below 64 ns, then
+/// [`SUB`] buckets per power of two.
+fn bucket_of(ns: u64) -> usize {
+    let ns = ns.min((1 << TOP_BITS) - 1);
+    if ns < SUB as u64 {
+        return ns as usize;
+    }
+    let shift = 63 - ns.leading_zeros() - SUB_BITS;
+    (shift as usize + 1) * SUB + (ns >> shift) as usize - SUB
+}
+
+/// Midpoint (µs) of bucket `b`.
+fn bucket_mid_us(b: usize) -> f64 {
+    let (lower, width) = match b / SUB {
+        0 => (b as u64, 1u64),
+        block => {
+            let shift = block - 1;
+            (((b % SUB + SUB) as u64) << shift, 1u64 << shift)
+        }
+    };
+    (lower as f64 + width as f64 / 2.0) / 1e3
+}
+
+/// Records latencies into a fixed-size log-bucketed histogram and
+/// summarises them. Memory is constant however many samples arrive.
+/// Count, mean, min and max are exact; a percentile is its bucket's
+/// midpoint, or the exact min or max when it falls in the lowest or
+/// highest occupied bucket, so it is within one bucket of an exact sort.
+#[derive(Clone)]
 pub struct LatencyRecorder {
-    samples_us: Vec<f64>,
+    counts: Box<[u64]>,
+    count: u64,
+    sum_us: f64,
+    min_us: f64,
+    max_us: f64,
+}
+
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        LatencyRecorder {
+            counts: vec![0; BUCKETS].into_boxed_slice(),
+            count: 0,
+            sum_us: 0.0,
+            min_us: f64::INFINITY,
+            max_us: 0.0,
+        }
+    }
+}
+
+impl std::fmt::Debug for LatencyRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LatencyRecorder")
+            .field("stats", &self.stats())
+            .finish()
+    }
 }
 
 impl LatencyRecorder {
@@ -96,50 +156,73 @@ impl LatencyRecorder {
 
     /// Record one measurement.
     pub fn record(&mut self, d: Duration) {
-        self.samples_us.push(d.as_secs_f64() * 1e6);
+        self.record_n(d, 1);
+    }
+
+    /// Record `n` measurements of the same latency as one weighted entry.
+    pub fn record_n(&mut self, d: Duration, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let us = d.as_secs_f64() * 1e6;
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.counts[bucket_of(ns)] += n as u64;
+        self.count += n as u64;
+        self.sum_us += us * n as f64;
+        self.min_us = self.min_us.min(us);
+        self.max_us = self.max_us.max(us);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples_us.len()
+        self.count as usize
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples_us.is_empty()
+        self.count == 0
+    }
+
+    /// Bytes the recorder holds, heap included; the same from the first
+    /// sample to the last.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.counts)
     }
 
     /// Summarise. An empty recorder reports all-zero stats; a single
-    /// measurement *is* every percentile (both cases are handled
-    /// explicitly rather than trusting the rank arithmetic at the
-    /// boundary).
+    /// measurement *is* every percentile. Percentile `p` reads the
+    /// sample at rank `round(p/100 · (count − 1))`, as a sort would.
     pub fn stats(&self) -> LatencyStats {
-        if self.samples_us.is_empty() {
+        if self.count == 0 {
             return LatencyStats::default();
         }
-        if let [only] = self.samples_us.as_slice() {
-            return LatencyStats {
-                count: 1,
-                mean_us: *only,
-                p50_us: *only,
-                p95_us: *only,
-                p99_us: *only,
-                max_us: *only,
-            };
-        }
-        let mut sorted = self.samples_us.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let occupied = || self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        let lowest = occupied().next().map_or(0, |(b, _)| b);
+        let highest = occupied().next_back().map_or(0, |(b, _)| b);
         let pct = |p: f64| {
-            let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-            sorted[rank.min(sorted.len() - 1)]
+            let rank = (p / 100.0 * (self.count - 1) as f64).round() as u64;
+            let mut seen = 0u64;
+            let bucket = occupied()
+                .find(|(_, &c)| {
+                    seen += c;
+                    seen > rank
+                })
+                .map_or(highest, |(b, _)| b);
+            if bucket == highest {
+                self.max_us
+            } else if bucket == lowest {
+                self.min_us
+            } else {
+                bucket_mid_us(bucket).clamp(self.min_us, self.max_us)
+            }
         };
         LatencyStats {
-            count: sorted.len(),
-            mean_us: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            count: self.count as usize,
+            mean_us: self.sum_us / self.count as f64,
             p50_us: pct(50.0),
             p95_us: pct(95.0),
             p99_us: pct(99.0),
-            max_us: *sorted.last().expect("non-empty"),
+            max_us: self.max_us,
         }
     }
 }
@@ -609,6 +692,74 @@ mod tests {
         assert_eq!(stats.count, 2);
         assert_eq!(stats.p50_us, 1234.0);
         assert_eq!(stats.max_us, 1234.0);
+    }
+
+    #[test]
+    fn latency_recorder_weighted_entry_matches_repeats() {
+        let mut weighted = LatencyRecorder::new();
+        let mut repeated = LatencyRecorder::new();
+        for (us, n) in [(120u64, 6usize), (900, 3), (45, 0), (7, 1)] {
+            weighted.record_n(Duration::from_micros(us), n);
+            for _ in 0..n {
+                repeated.record(Duration::from_micros(us));
+            }
+        }
+        assert_eq!(weighted.len(), 10);
+        assert_eq!(weighted.stats(), repeated.stats());
+    }
+
+    #[test]
+    fn latency_recorder_memory_is_constant() {
+        let mut rec = LatencyRecorder::new();
+        let bytes = rec.resident_bytes();
+        let mut rng = SeededRng::new(3);
+        for i in 0..1_000_000u64 {
+            // Nanoseconds to minutes, so every bucket region is touched.
+            let ns = (rng.uniform(0.0, 37.0) as f64).exp2() as u64 + i % 7;
+            rec.record(Duration::from_nanos(ns));
+            if i % 100_000 == 0 {
+                assert_eq!(rec.resident_bytes(), bytes);
+            }
+        }
+        assert_eq!(rec.len(), 1_000_000);
+        assert_eq!(rec.resident_bytes(), bytes);
+        assert!(bytes < 16 * 1024, "{bytes} bytes");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every percentile lands within one bucket of the sample an
+        /// exact sort puts at its rank; count, mean, min and max stay
+        /// exact.
+        #[test]
+        fn latency_percentiles_within_one_bucket_of_exact_sort(
+            samples in proptest::collection::vec(0u64..50_000_000, 1..400),
+            scale in proptest::sample::select(vec![1u64, 1_000, 60_000]),
+        ) {
+            let mut rec = LatencyRecorder::new();
+            let mut exact: Vec<f64> = Vec::new();
+            for &ns in &samples {
+                let d = Duration::from_nanos(ns.saturating_mul(scale) / 1_000);
+                rec.record(d);
+                exact.push(d.as_secs_f64() * 1e6);
+            }
+            exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let stats = rec.stats();
+            let bucket = |us: f64| bucket_of((us * 1e3).round() as u64) as i64;
+            for (p, got) in [(50.0, stats.p50_us), (95.0, stats.p95_us), (99.0, stats.p99_us)] {
+                let rank = (p / 100.0 * (exact.len() - 1) as f64).round() as usize;
+                let want = exact[rank];
+                proptest::prop_assert!(
+                    (bucket(got) - bucket(want)).abs() <= 1,
+                    "p{} = {} µs, exact {} µs", p, got, want
+                );
+            }
+            proptest::prop_assert_eq!(stats.count, exact.len());
+            proptest::prop_assert_eq!(stats.max_us, *exact.last().unwrap());
+            let mean = exact.iter().sum::<f64>() / exact.len() as f64;
+            proptest::prop_assert!((stats.mean_us - mean).abs() <= 1e-9 * mean.max(1.0));
+        }
     }
 
     #[test]

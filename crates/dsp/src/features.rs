@@ -19,9 +19,12 @@
 //! spirit; the spectral features probe `n/2` DFT bins.
 
 use crate::error::DspError;
+use crate::filter::{gather_rows, DenoiseKernel, DenoiseScratch, Row, LANES};
+use crate::spectral::{self, Goertzel};
 use crate::Result;
 use magneto_tensor::stats;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Number of features produced by [`FeatureExtractor::extract`]. The paper
 /// specifies 80.
@@ -35,7 +38,15 @@ mod layout {
     pub const LINACC: [usize; 3] = [9, 10, 11];
     pub const PRESSURE: usize = 19;
     pub const MIN_CHANNELS: usize = 20;
+    /// The channels the features read, in strip-lane order: lane `c` is
+    /// channel `c` for the four 3-axis groups, and pressure rides lane
+    /// [`PRESSURE_LANE`].
+    pub const READ: [usize; 13] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, PRESSURE];
+    pub const PRESSURE_LANE: usize = 12;
 }
+
+/// The derived series, one lane each of the series strip.
+const SERIES: usize = 8;
 
 const BASE_STATS: [&str; 9] = [
     "mean", "std", "min", "max", "median", "iqr", "rms", "skew", "kurt",
@@ -121,6 +132,22 @@ impl FeatureExtractor {
     /// [`DspError::DimensionMismatch`] unless `out.len() == NUM_FEATURES`,
     /// plus the malformed-window errors of [`extract`](Self::extract).
     pub fn extract_into(&self, channels: &[Vec<f32>], out: &mut [f32]) -> Result<()> {
+        self.extract_denoised_into(channels, None, out)
+    }
+
+    /// [`extract_into`](Self::extract_into) on the window as `kernel`
+    /// denoises it. Only the 13 channels the features read are denoised,
+    /// and all buffers are per-thread, so a warmed thread allocates
+    /// nothing per window.
+    ///
+    /// # Errors
+    /// As [`extract_into`](Self::extract_into).
+    pub(crate) fn extract_denoised_into(
+        &self,
+        channels: &[Vec<f32>],
+        kernel: Option<&DenoiseKernel>,
+        out: &mut [f32],
+    ) -> Result<()> {
         if out.len() != NUM_FEATURES {
             return Err(DspError::DimensionMismatch {
                 expected: NUM_FEATURES,
@@ -140,102 +167,184 @@ impl FeatureExtractor {
                 found: n,
             });
         }
+        FRONT_END.with(|cell| {
+            let fe = &mut *cell.borrow_mut();
+            fe.load(channels, n, kernel);
+            fe.extract(self.sample_rate_hz, out);
+        });
+        Ok(())
+    }
+}
 
-        let accel_x = &channels[layout::ACCEL[0]];
-        let accel_y = &channels[layout::ACCEL[1]];
-        let accel_z = &channels[layout::ACCEL[2]];
-        let accel_mag = magnitude_series(channels, layout::ACCEL, n);
-        let gyro_mag = magnitude_series(channels, layout::GYRO, n);
-        let linacc_mag = magnitude_series(channels, layout::LINACC, n);
-        let mag_mag = magnitude_series(channels, layout::MAG, n);
-        let pressure = &channels[layout::PRESSURE];
+thread_local! {
+    /// One front end per thread, after the per-thread staging buffers of
+    /// the dense kernels.
+    static FRONT_END: RefCell<FrontEnd> = RefCell::new(FrontEnd::default());
+}
 
-        let series: [&[f32]; 8] = [
-            &accel_x[..n],
-            &accel_y[..n],
-            &accel_z[..n],
-            &accel_mag,
-            &gyro_mag,
-            &linacc_mag,
-            &mag_mag,
-            &pressure[..n],
-        ];
+/// The buffers of one featurisation, reused across windows.
+#[derive(Debug, Default)]
+struct FrontEnd {
+    /// Time-major strip of the channels in [`layout::READ`].
+    rows: Vec<Row>,
+    tmp: Vec<Row>,
+    /// Per-channel denoise output and scratch (ragged windows, median
+    /// widths the strip does not run).
+    channel: Vec<f32>,
+    channel_scratch: DenoiseScratch,
+    /// Time-major strip of the eight series.
+    series: Vec<[f32; SERIES]>,
+    /// The eight series channel-major, `n` samples each.
+    columns: Vec<f32>,
+    sorted: Vec<f32>,
+    spectrum: Vec<f32>,
+    goertzel: Goertzel,
+}
 
-        let mut slots = out.iter_mut();
-        let mut emit = |v: f32| {
-            *slots.next().expect("feature table matches NUM_FEATURES") = v;
-        };
-        // The order statistics of each series share one sorted copy
-        // (median and IQR probe the same ranks), reusing a single scratch
-        // buffer across all eight series.
-        let mut sorted: Vec<f32> = Vec::with_capacity(n);
-        for s in series {
-            sorted.clear();
-            sorted.extend_from_slice(s);
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            // The nine statistics need three passes: raw sums (mean, RMS,
-            // min, max), centred second moment (std), and standardised
-            // third/fourth moments (skew, kurtosis) — each accumulator
-            // matches its single-purpose `stats` counterpart.
-            let len = s.len() as f32;
-            let (mut sum, mut sum_sq) = (0.0f32, 0.0f32);
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &x in s {
-                sum += x;
-                sum_sq += x * x;
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            let mean = sum / len;
-            let std = stats::variance_with(s, mean).sqrt();
-            let (mut m3, mut m4) = (0.0f32, 0.0f32);
-            if std >= 1e-12 {
-                for &x in s {
-                    let d = (x - mean) / std;
-                    let d2 = d * d;
-                    m3 += d2 * d;
-                    m4 += d2 * d2;
+impl FrontEnd {
+    /// Fill `rows` with the first `n` samples of the channels the
+    /// features read, denoised by `kernel` when one is given.
+    fn load(&mut self, channels: &[Vec<f32>], n: usize, kernel: Option<&DenoiseKernel>) {
+        let read = layout::READ.iter().map(|&c| channels[c].as_slice());
+        match kernel {
+            Some(k)
+                if !k.runs_on_rows() || layout::READ.iter().any(|&c| channels[c].len() != n) =>
+            {
+                // Each channel is denoised over its own full length (the
+                // backward pass starts at its own last sample), then
+                // clipped to `n`.
+                self.rows.clear();
+                self.rows.resize(n, [0.0; LANES]);
+                for (lane, ch) in read.enumerate() {
+                    k.apply_into(ch, &mut self.channel, &mut self.channel_scratch);
+                    for (row, &x) in self.rows.iter_mut().zip(&self.channel) {
+                        row[lane] = x;
+                    }
                 }
             }
-            emit(mean);
-            emit(std);
-            emit(lo);
-            emit(hi);
-            emit(stats::percentile_of_sorted(&sorted, 50.0));
-            emit(
-                stats::percentile_of_sorted(&sorted, 75.0)
-                    - stats::percentile_of_sorted(&sorted, 25.0),
-            );
-            emit((sum_sq / len).sqrt());
-            emit(if s.len() < 3 || std < 1e-12 { 0.0 } else { m3 / len });
-            emit(if s.len() < 4 || std < 1e-12 {
-                0.0
+            _ => {
+                gather_rows(read, n, &mut self.rows);
+                if let Some(k) = kernel {
+                    k.denoise_rows(&mut self.rows, &mut self.tmp);
+                }
+            }
+        }
+    }
+
+    /// The 80 features of the loaded strip into `out`.
+    fn extract(&mut self, sample_rate_hz: f32, out: &mut [f32]) {
+        let n = self.rows.len();
+        let len = n as f32;
+        self.series.clear();
+        self.series.extend(self.rows.iter().map(|r| {
+            let mag = |[x, y, z]: [usize; 3]| (r[x] * r[x] + r[y] * r[y] + r[z] * r[z]).sqrt();
+            [
+                r[layout::ACCEL[0]],
+                r[layout::ACCEL[1]],
+                r[layout::ACCEL[2]],
+                mag(layout::ACCEL),
+                mag(layout::GYRO),
+                mag(layout::LINACC),
+                mag(layout::MAG),
+                r[layout::PRESSURE_LANE],
+            ]
+        }));
+
+        // The nine statistics need three passes: raw sums (mean, RMS,
+        // min, max), centred second moment (std, as
+        // `stats::variance_with`), and standardised third/fourth moments
+        // (skew, kurtosis). Each pass updates all eight series per time
+        // step, and each lane accumulates in ascending `t` exactly as a
+        // serial pass over its own series does.
+        let (mut sum, mut sum_sq) = ([0.0f32; SERIES], [0.0f32; SERIES]);
+        let (mut lo, mut hi) = ([f32::INFINITY; SERIES], [f32::NEG_INFINITY; SERIES]);
+        for x in &self.series {
+            for l in 0..SERIES {
+                sum[l] += x[l];
+                sum_sq[l] += x[l] * x[l];
+                lo[l] = lo[l].min(x[l]);
+                hi[l] = hi[l].max(x[l]);
+            }
+        }
+        let mean = sum.map(|s| s / len);
+        let mut var = [0.0f32; SERIES];
+        for x in &self.series {
+            for l in 0..SERIES {
+                var[l] += (x[l] - mean[l]) * (x[l] - mean[l]);
+            }
+        }
+        let std = var.map(|v| (v / len).sqrt());
+        let (mut m3, mut m4) = ([0.0f32; SERIES], [0.0f32; SERIES]);
+        for x in &self.series {
+            for l in 0..SERIES {
+                let d = (x[l] - mean[l]) / std[l];
+                let d2 = d * d;
+                m3[l] += d2 * d;
+                m4[l] += d2 * d2;
+            }
+        }
+
+        let FrontEnd {
+            series,
+            columns,
+            sorted,
+            spectrum,
+            goertzel,
+            ..
+        } = self;
+        columns.clear();
+        columns.resize(SERIES * n, 0.0);
+        for (t, x) in series.iter().enumerate() {
+            for (l, &v) in x.iter().enumerate() {
+                columns[l * n + t] = v;
+            }
+        }
+        let column = |l: usize| &columns[l * n..(l + 1) * n];
+        // The order statistics of each series share one sorted copy
+        // (median and IQR probe the same ranks).
+        let per_series = out.chunks_exact_mut(BASE_STATS.len()).take(SERIES);
+        for (l, row) in per_series.enumerate() {
+            sorted.clear();
+            sorted.extend_from_slice(column(l));
+            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            // A flat series (std below 1e-12) reports zero skew and
+            // kurtosis. Its moments were divided by that std, so only
+            // lanes with `std >= 1e-12` keep them; a NaN std (NaN input)
+            // is neither, and reads moments of zero as the serial pass
+            // that skipped it did.
+            let flat = std[l] < 1e-12;
+            let (m3, m4) = if std[l] >= 1e-12 {
+                (m3[l], m4[l])
             } else {
-                m4 / len - 3.0
-            });
+                (0.0, 0.0)
+            };
+            row.copy_from_slice(&[
+                mean[l],
+                std[l],
+                lo[l],
+                hi[l],
+                stats::percentile_of_sorted(sorted, 50.0),
+                stats::percentile_of_sorted(sorted, 75.0)
+                    - stats::percentile_of_sorted(sorted, 25.0),
+                (sum_sq[l] / len).sqrt(),
+                if flat { 0.0 } else { m3 / len },
+                if flat { 0.0 } else { m4 / len - 3.0 },
+            ]);
         }
         // Each magnitude series contributes several spectral summaries;
         // evaluate its Goertzel spectrum once and share it.
-        let accel_spectrum = crate::spectral::dft_magnitudes(&accel_mag);
-        emit(stats::mean_crossing_rate(&accel_mag));
-        emit(crate::spectral::dominant_frequency_of(
-            &accel_spectrum,
-            accel_mag.len(),
-            self.sample_rate_hz,
-        ));
-        emit(crate::spectral::spectral_entropy_of(&accel_spectrum));
-        emit(crate::spectral::band_energy_ratio_of(
-            &accel_spectrum,
-            accel_mag.len(),
-            self.sample_rate_hz,
-            8.0,
-            45.0,
-        ));
-        emit(stats::mean_crossing_rate(&gyro_mag));
-        emit(crate::spectral::spectral_entropy(&gyro_mag));
-        emit(stats::pearson(&accel_x[..n], &accel_y[..n]));
-        emit(stats::pearson(&accel_y[..n], &accel_z[..n]));
-        debug_assert!(slots.next().is_none(), "feature table short of NUM_FEATURES");
+        let (accel_mag, gyro_mag) = (column(3), column(4));
+        let extended = &mut out[SERIES * BASE_STATS.len()..];
+        goertzel.magnitudes_into(accel_mag, spectrum);
+        extended[0] = stats::mean_crossing_rate(accel_mag);
+        extended[1] = spectral::dominant_frequency_of(spectrum, n, sample_rate_hz);
+        extended[2] = spectral::spectral_entropy_of(spectrum);
+        extended[3] = spectral::band_energy_ratio_of(spectrum, n, sample_rate_hz, 8.0, 45.0);
+        extended[4] = stats::mean_crossing_rate(gyro_mag);
+        goertzel.magnitudes_into(gyro_mag, spectrum);
+        extended[5] = spectral::spectral_entropy_of(spectrum);
+        extended[6] = stats::pearson(column(0), column(1));
+        extended[7] = stats::pearson(column(1), column(2));
 
         // A malformed sample must never poison downstream training.
         for v in out.iter_mut() {
@@ -243,16 +352,7 @@ impl FeatureExtractor {
                 *v = 0.0;
             }
         }
-        Ok(())
     }
-}
-
-/// Per-sample Euclidean magnitude of a 3-axis group.
-fn magnitude_series(channels: &[Vec<f32>], axes: [usize; 3], n: usize) -> Vec<f32> {
-    let (xs, ys, zs) = (&channels[axes[0]], &channels[axes[1]], &channels[axes[2]]);
-    (0..n)
-        .map(|i| (xs[i] * xs[i] + ys[i] * ys[i] + zs[i] * zs[i]).sqrt())
-        .collect()
 }
 
 #[cfg(test)]

@@ -182,57 +182,41 @@ impl Biquad {
         out.reverse();
     }
 
-    /// Zero-phase forward-backward filtering of a time-major strip of
-    /// `lanes` interleaved channels, in place: row `t` is
-    /// `data[t*lanes..(t+1)*lanes]` and every lane is filtered exactly as
-    /// [`filtfilt`](Self::filtfilt) would filter it alone — the lanes only
-    /// share loop iterations, which lets the recurrence vectorise across
-    /// channels. `state` is a reusable scratch buffer.
-    pub fn filtfilt_strip(&self, data: &mut [f32], state: &mut Vec<f32>, lanes: usize) {
-        if lanes == 0 || data.len() < lanes {
+    /// Zero-phase forward-backward filtering of a time-major strip in
+    /// place: every lane of every row is filtered exactly as
+    /// [`filtfilt`](Self::filtfilt) would filter that lane's channel
+    /// alone. The lanes only share loop iterations, and a row is a fixed
+    /// [`LANES`]-wide array, so each recurrence step is a handful of
+    /// whole-vector operations.
+    fn filtfilt_rows(&self, rows: &mut [Row]) {
+        let Some(&first) = rows.first() else {
             return;
-        }
-        let n = data.len() / lanes;
-        state.clear();
-        state.resize(4 * lanes, 0.0);
-        let (x1, rest) = state.split_at_mut(lanes);
-        let (x2, rest) = rest.split_at_mut(lanes);
-        let (y1, y2) = rest.split_at_mut(lanes);
-        for pass in 0..2 {
-            // Pass 0 runs forward in time, pass 1 backward (identical to
-            // reversing, filtering and reversing again). Each pass seeds
-            // its state from its own first row, like `filter`.
-            let first = if pass == 0 { 0 } else { n - 1 };
-            for c in 0..lanes {
-                let x0 = data[first * lanes + c];
-                x1[c] = x0;
-                x2[c] = x0;
-                y1[c] = x0;
-                y2[c] = x0;
+        };
+        // The backward pass seeds from the last row the forward pass
+        // wrote, like `filter` seeding from the first sample it reads.
+        self.filter_rows(rows.iter_mut(), first);
+        let last = rows[rows.len() - 1];
+        self.filter_rows(rows.iter_mut().rev(), last);
+    }
+
+    /// One causal pass over `rows` in iteration order, state seeded from
+    /// `seed` as [`filter_into`](Self::filter_into) seeds from its first
+    /// sample.
+    fn filter_rows<'a>(&self, rows: impl Iterator<Item = &'a mut Row>, seed: Row) {
+        let (mut x1, mut x2, mut y1, mut y2) = (seed, seed, seed, seed);
+        for row in rows {
+            let x = *row;
+            let mut y = [0.0f32; LANES];
+            for c in 0..LANES {
+                y[c] = self.b0 * x[c] + self.b1 * x1[c] + self.b2 * x2[c]
+                    - self.a1 * y1[c]
+                    - self.a2 * y2[c];
             }
-            let mut step = |t: usize, x1: &mut [f32], x2: &mut [f32], y1: &mut [f32], y2: &mut [f32]| {
-                let row = &mut data[t * lanes..(t + 1) * lanes];
-                for c in 0..lanes {
-                    let x = row[c];
-                    let y = self.b0 * x + self.b1 * x1[c] + self.b2 * x2[c]
-                        - self.a1 * y1[c]
-                        - self.a2 * y2[c];
-                    x2[c] = x1[c];
-                    x1[c] = x;
-                    y2[c] = y1[c];
-                    y1[c] = y;
-                    row[c] = y;
-                }
-            };
-            if pass == 0 {
-                for t in 0..n {
-                    step(t, x1, x2, y1, y2);
-                }
-            } else {
-                for t in (0..n).rev() {
-                    step(t, x1, x2, y1, y2);
-                }
-            }
+            x2 = x1;
+            x1 = x;
+            y2 = y1;
+            y1 = y;
+            *row = y;
         }
     }
 }
@@ -320,15 +304,36 @@ impl DenoiseKernel {
         }
     }
 
+    /// Whether [`denoise_rows`](Self::denoise_rows) runs this kernel:
+    /// no median or the median-of-three, with or without the low-pass.
+    /// Other median widths take the per-channel path.
+    pub(crate) fn runs_on_rows(&self) -> bool {
+        self.median_window <= 1 || self.median_window == 3
+    }
+
+    /// Denoise a time-major strip of at least two rows in place (`tmp`
+    /// is scratch): each lane comes out exactly as
+    /// [`apply_into`](Self::apply_into) returns that lane's channel.
+    /// Only for kernels that [`runs_on_rows`](Self::runs_on_rows).
+    pub(crate) fn denoise_rows(&self, rows: &mut Vec<Row>, tmp: &mut Vec<Row>) {
+        debug_assert!(self.runs_on_rows() && rows.len() >= 2);
+        if self.median_window == 3 {
+            median3_rows(rows, tmp);
+            std::mem::swap(rows, tmp);
+        }
+        if let Some(bq) = self.lowpass {
+            bq.filtfilt_rows(rows);
+        }
+    }
+
     /// Denoise a whole channel-major window at once.
     ///
     /// Channels are mutually independent, so for the common case (all
-    /// channels equal length, default median window 3) the work runs over
-    /// a time-major interleave where every time step updates all channels
-    /// as one lane-parallel strip — the median network and the biquad
-    /// recurrences vectorise across channels instead of crawling one
-    /// serial dependency chain per channel. Falls back to the per-channel
-    /// kernel for ragged windows or non-default median widths.
+    /// channels equal length, median window 1 or 3) the window runs in
+    /// chunks of [`LANES`] channels, each gathered into a time-major
+    /// strip whose rows the median network and the biquad recurrences
+    /// update as whole vectors. Ragged windows, windows shorter than two
+    /// samples and other median widths take the per-channel kernel.
     ///
     /// `out` is resized to match `channels`; `scratch` is reused across
     /// calls.
@@ -340,63 +345,67 @@ impl DenoiseKernel {
     ) {
         out.resize(channels.len(), Vec::new());
         let n = channels.first().map(Vec::len).unwrap_or(0);
-        let uniform = channels.iter().all(|c| c.len() == n);
-        if !uniform || (self.median_window > 1 && self.median_window != 3) || n < 2 {
+        if n < 2 || !self.runs_on_rows() || channels.iter().any(|c| c.len() != n) {
             for (c, d) in channels.iter().zip(out.iter_mut()) {
                 self.apply_into(c, d, &mut scratch.channel);
             }
             return;
         }
-        let lanes = channels.len();
-        // Interleave: row t of `cur` holds sample t of every channel.
-        let cur = &mut scratch.a;
-        cur.clear();
-        cur.reserve(n * lanes);
-        for t in 0..n {
-            for ch in channels {
-                cur.push(ch[t]);
-            }
-        }
-        if self.median_window == 3 {
-            let med = &mut scratch.b;
-            med.clear();
-            med.reserve(n * lanes);
-            // Clamped edges: the sorted middle of a two-sample window is
-            // its larger element; interior rows take a median-of-three.
-            for c in 0..lanes {
-                med.push(cur[c].max(cur[lanes + c]));
-            }
-            for t in 1..n - 1 {
-                let (p, x, q) = (t - 1, t, t + 1);
-                for c in 0..lanes {
-                    let (a, b, d) = (cur[p * lanes + c], cur[x * lanes + c], cur[q * lanes + c]);
-                    med.push(a.max(b).min(a.min(b).max(d)));
-                }
-            }
-            for c in 0..lanes {
-                med.push(cur[(n - 2) * lanes + c].max(cur[(n - 1) * lanes + c]));
-            }
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
-        if let Some(bq) = self.lowpass {
-            bq.filtfilt_strip(&mut scratch.a, &mut scratch.state, lanes);
-        }
-        for (c, d) in out.iter_mut().enumerate() {
-            d.clear();
-            d.reserve(n);
-            for t in 0..n {
-                d.push(scratch.a[t * lanes + c]);
+        for (chunk, outs) in channels.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            gather_rows(chunk.iter().map(|c| c.as_slice()), n, &mut scratch.rows);
+            self.denoise_rows(&mut scratch.rows, &mut scratch.tmp);
+            for (lane, d) in outs.iter_mut().enumerate() {
+                d.clear();
+                d.extend(scratch.rows.iter().map(|row| row[lane]));
             }
         }
     }
 }
 
+/// Lanes in one row of a time-major strip: row `t` holds sample `t` of
+/// up to 16 channels, one 512-bit or two 256-bit vectors.
+pub(crate) const LANES: usize = 16;
+
+/// One time step of a time-major strip.
+pub(crate) type Row = [f32; LANES];
+
+/// Gather the first `n` samples of up to [`LANES`] channels into the
+/// lanes of `rows` (cleared first); unused lanes hold zeros.
+pub(crate) fn gather_rows<'a>(
+    channels: impl Iterator<Item = &'a [f32]>,
+    n: usize,
+    rows: &mut Vec<Row>,
+) {
+    rows.clear();
+    rows.resize(n, [0.0; LANES]);
+    for (lane, ch) in channels.enumerate() {
+        for (row, &x) in rows.iter_mut().zip(&ch[..n]) {
+            row[lane] = x;
+        }
+    }
+}
+
+/// [`median_filter_into`] with `k = 3` on every lane of a strip of at
+/// least two rows.
+fn median3_rows(xs: &[Row], out: &mut Vec<Row>) {
+    let n = xs.len();
+    let max = |a: &Row, b: &Row| -> Row { std::array::from_fn(|c| a[c].max(b[c])) };
+    out.clear();
+    out.push(max(&xs[0], &xs[1]));
+    out.extend(xs.windows(3).map(|w| -> Row {
+        std::array::from_fn(|c| {
+            let (a, b, d) = (w[0][c], w[1][c], w[2][c]);
+            a.max(b).min(a.min(b).max(d))
+        })
+    }));
+    out.push(max(&xs[n - 2], &xs[n - 1]));
+}
+
 /// Reusable buffers for [`DenoiseKernel::apply_window_into`].
 #[derive(Debug, Default)]
 pub struct WindowDenoiseScratch {
-    a: Vec<f32>,
-    b: Vec<f32>,
-    state: Vec<f32>,
+    rows: Vec<Row>,
+    tmp: Vec<Row>,
     channel: DenoiseScratch,
 }
 

@@ -94,10 +94,18 @@ pub fn scrub_window(channels: &mut [Vec<f32>], cfg: &GuardConfig) -> usize {
 }
 
 /// `true` when every sample of every channel is clean under `cfg`.
+///
+/// Each channel folds `|v| <= limit` over all its samples without a
+/// branch, so the scan vectorises; the comparison is false for NaN and,
+/// with the limit capped at `f32::MAX`, for ±inf, so the verdict is
+/// [`GuardConfig::is_faulty`]'s for every config (a NaN `max_abs`
+/// flags only non-finite samples, as `is_faulty` does). The scan still
+/// stops at the first faulty channel.
 pub fn window_is_clean(channels: &[Vec<f32>], cfg: &GuardConfig) -> bool {
+    let limit = cfg.max_abs.min(f32::MAX);
     channels
         .iter()
-        .all(|ch| ch.iter().all(|&v| !cfg.is_faulty(v)))
+        .all(|ch| ch.iter().fold(true, |clean, &v| clean & (v.abs() <= limit)))
 }
 
 /// Streaming sample guard with per-channel health counters.

@@ -102,14 +102,11 @@ impl PreprocessingPipeline {
     /// Propagates extractor errors on malformed windows or a wrong-length
     /// output slice.
     pub fn raw_features_into(&self, channels: &[Vec<f32>], out: &mut [f32]) -> Result<()> {
-        // One compiled kernel denoises the whole window lane-parallel
-        // across channels; only the denoised per-channel outputs are
-        // allocated.
+        // Only the 13 channels the features read are denoised, as one
+        // time-major strip in per-thread buffers.
         let kernel = self.config.denoise.kernel();
-        let mut scratch = crate::filter::WindowDenoiseScratch::default();
-        let mut denoised: Vec<Vec<f32>> = Vec::new();
-        kernel.apply_window_into(channels, &mut denoised, &mut scratch);
-        self.extractor.extract_into(&denoised, out)
+        self.extractor
+            .extract_denoised_into(channels, Some(&kernel), out)
     }
 
     /// Fit the normaliser over a corpus of windows (Cloud side).

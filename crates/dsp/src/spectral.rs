@@ -15,39 +15,71 @@ use std::f32::consts::TAU;
 /// Magnitude spectrum at bins `1..=n/2` (DC excluded). Bin `i` corresponds
 /// to frequency `i * sample_rate / n`.
 pub fn dft_magnitudes(xs: &[f32]) -> Vec<f32> {
-    let n = xs.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mean = xs.iter().sum::<f32>() / n as f32;
-    let half = n / 2;
-    // Goertzel bank: bin k resonates at w_k = TAU*k/n under
-    //   s0 = v + 2cos(w_k)*s1 - s2,
-    // and after the full pass X_k = s1 - e^{-j w_k} s2, i.e.
-    //   re = s1 - cos(w_k)*s2,  im = -sin(w_k)*s2
-    // (conjugate convention; magnitudes are identical either way).
-    let mut coeff = vec![0.0f32; half];
-    let mut s1 = vec![0.0f32; half];
-    let mut s2 = vec![0.0f32; half];
-    for (k, c) in coeff.iter_mut().enumerate() {
-        *c = 2.0 * (TAU * (k + 1) as f32 / n as f32).cos();
-    }
-    for &x in xs {
-        let v = x - mean; // remove DC so bin 0 leakage doesn't dominate
-        for k in 0..half {
-            let s0 = v + coeff[k] * s1[k] - s2[k];
-            s2[k] = s1[k];
-            s1[k] = s0;
-        }
-    }
-    let mut mags = Vec::with_capacity(half);
-    for k in 0..half {
-        let w = TAU * (k + 1) as f32 / n as f32;
-        let re = s1[k] - w.cos() * s2[k];
-        let im = -(w.sin() * s2[k]);
-        mags.push((re * re + im * im).sqrt() * 2.0 / n as f32);
-    }
+    let mut mags = Vec::new();
+    Goertzel::default().magnitudes_into(xs, &mut mags);
     mags
+}
+
+/// A Goertzel bank with its per-bin tables (`2cos w_k`, `cos w_k`,
+/// `sin w_k`) built once per window length, and its resonator state
+/// reused across calls.
+#[derive(Debug, Default)]
+pub(crate) struct Goertzel {
+    /// Window length the tables were built for (0 = none yet).
+    n: usize,
+    coeff: Vec<f32>,
+    cos: Vec<f32>,
+    sin: Vec<f32>,
+    s1: Vec<f32>,
+    s2: Vec<f32>,
+}
+
+impl Goertzel {
+    /// [`dft_magnitudes`] into `mags` (cleared first).
+    pub(crate) fn magnitudes_into(&mut self, xs: &[f32], mags: &mut Vec<f32>) {
+        mags.clear();
+        let n = xs.len();
+        if n < 2 {
+            return;
+        }
+        let half = n / 2;
+        if self.n != n {
+            self.cos.clear();
+            self.sin.clear();
+            for k in 0..half {
+                let w = TAU * (k + 1) as f32 / n as f32;
+                self.cos.push(w.cos());
+                self.sin.push(w.sin());
+            }
+            self.coeff.clear();
+            self.coeff.extend(self.cos.iter().map(|c| 2.0 * c));
+            self.n = n;
+        }
+        let mean = xs.iter().sum::<f32>() / n as f32;
+        // Goertzel bank: bin k resonates at w_k = TAU*k/n under
+        //   s0 = v + 2cos(w_k)*s1 - s2,
+        // and after the full pass X_k = s1 - e^{-j w_k} s2, i.e.
+        //   re = s1 - cos(w_k)*s2,  im = -sin(w_k)*s2
+        // (conjugate convention; magnitudes are identical either way).
+        let (coeff, s1, s2) = (&self.coeff, &mut self.s1, &mut self.s2);
+        s1.clear();
+        s1.resize(half, 0.0);
+        s2.clear();
+        s2.resize(half, 0.0);
+        for &x in xs {
+            let v = x - mean; // remove DC so bin 0 leakage doesn't dominate
+            for ((c, a), b) in coeff.iter().zip(s1.iter_mut()).zip(s2.iter_mut()) {
+                let s0 = v + c * *a - *b;
+                *b = *a;
+                *a = s0;
+            }
+        }
+        mags.extend((0..half).map(|k| {
+            let re = s1[k] - self.cos[k] * s2[k];
+            let im = -(self.sin[k] * s2[k]);
+            (re * re + im * im).sqrt() * 2.0 / n as f32
+        }));
+    }
 }
 
 /// [`dominant_frequency`] over a precomputed spectrum of a length-`n`

@@ -2,9 +2,11 @@
 
 use magneto_dsp::features::{FeatureExtractor, NUM_FEATURES};
 use magneto_dsp::filter::{median_filter, moving_average, Biquad};
+use magneto_dsp::guard::{window_is_clean, GuardConfig};
 use magneto_dsp::normalize::{Normalizer, NormalizerKind};
 use magneto_dsp::segment::segment_series;
 use magneto_dsp::spectral::{band_energy_ratio, dft_magnitudes, spectral_entropy};
+use magneto_tensor::SeededRng;
 use proptest::prelude::*;
 
 fn signal(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -125,5 +127,51 @@ proptest! {
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
+    }
+
+    /// The branch-free guard scan agrees with the per-sample
+    /// `is_faulty` scan, on windows seeded with NaN, ±inf, ±`max_abs`,
+    /// the next float above `max_abs` and subnormals, under finite,
+    /// infinite, NaN and degenerate ceilings.
+    #[test]
+    fn guard_scan_matches_per_sample_scan(
+        seed in any::<u64>(),
+        channels in 0usize..24,
+        max_len in 0usize..130,
+        limit in prop::sample::select(vec![
+            1.0e6f32, 1.0, 0.0, -1.0, 1.0e-40, f32::MAX, f32::INFINITY, f32::NAN,
+        ]),
+        fault_rate in prop::sample::select(vec![0.0f64, 0.001, 0.02, 0.5]),
+    ) {
+        let cfg = GuardConfig { max_abs: limit };
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            limit,
+            -limit,
+            limit.next_up(),
+            -limit.next_up(),
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            0.0,
+            -0.0,
+        ];
+        let mut rng = SeededRng::new(seed);
+        let window: Vec<Vec<f32>> = (0..channels)
+            .map(|_| {
+                (0..rng.index(max_len + 1))
+                    .map(|_| {
+                        if rng.chance(fault_rate) {
+                            specials[rng.index(specials.len())]
+                        } else {
+                            rng.normal_with(0.0, 10.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let per_sample = window.iter().all(|ch| ch.iter().all(|&v| !cfg.is_faulty(v)));
+        prop_assert_eq!(window_is_clean(&window, &cfg), per_sample);
     }
 }

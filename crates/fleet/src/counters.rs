@@ -38,10 +38,10 @@ impl ShardCounters {
             Precision::Int8 => self.windows_int8.fetch_add(size as u64, Ordering::Relaxed),
         };
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
-        let mut rec = self.latency.lock().expect("latency lock");
-        for _ in 0..size {
-            rec.record(per_window_latency);
-        }
+        self.latency
+            .lock()
+            .expect("latency lock")
+            .record_n(per_window_latency, size);
     }
 
     /// Snapshot into a report row. `tier` is the owning shard's
