@@ -17,7 +17,7 @@
 
 use magneto_core::privacy::{Direction, PrivacyLedger};
 use magneto_core::{
-    CloudConfig, CloudInitializer, EdgeBundle, Lineage, ModelVersion, Precision,
+    CloudConfig, CloudInitializer, EdgeBundle, ModelVersion, Precision,
 };
 use magneto_fleet::{Fleet, FleetConfig, FleetReply, SessionId};
 use magneto_platform::rollout::DOWNLINK_BUDGET_BYTES;
@@ -97,11 +97,9 @@ fn main() {
 
     println!("rollout_smoke: pre-training v1 and registering {sessions_target} sessions…");
     let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 1);
-    let v1 = CloudInitializer::new(CloudConfig::fast_demo())
+    let (v1, _) = CloudInitializer::new(CloudConfig::fast_demo())
         .pretrain(&corpus)
-        .unwrap()
-        .0
-        .with_lineage(Lineage::root(1));
+        .unwrap();
 
     let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
     let key1 = fleet.register_base(&v1, Precision::F32).unwrap();

@@ -11,16 +11,18 @@
 //! Layout (little-endian, length-prefixed sections):
 //!
 //! ```text
-//! bundle  := magic "MGBD" | u32 wire_version | u8 model_format
-//!            | [section(lineage json)]            -- wire_version 2 only
+//! bundle  := magic "MGBD" | u32 wire_version (= 2) | u8 model_format
+//!            | section(lineage json)
 //!            | section(pipeline json) | section(model)
 //!            | section(support set json) | section(registry json)
 //! section := u32 len | len bytes
 //! ```
 //!
-//! Wire version 1 is the legacy pre-lineage layout; bundles without a
-//! [`Lineage`] still serialize to it byte-verbatim, so unversioned
-//! artefacts round-trip unchanged and decode as model version 0.
+//! Every bundle carries its [`Lineage`]. [`WireImage::parse`] is the one
+//! reader of this layout: decoding, the rollout's section diff and the
+//! size report all split a wire image through it. Any other wire
+//! version (including the pre-lineage version 1) is refused with
+//! [`CoreError::InvalidBundle`].
 
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
@@ -28,7 +30,6 @@ use crate::precision::ResidentModel;
 use crate::support_set::SupportSet;
 use crate::version::{Fnv64, Lineage, ModelVersion};
 use crate::Result;
-use bytes::{Buf, Bytes};
 use magneto_dsp::PreprocessingPipeline;
 use magneto_nn::quantize::{QuantizedMlp, QuantizedSiamese};
 use magneto_nn::serialize::{decode_mlp, encode_mlp};
@@ -36,12 +37,15 @@ use magneto_nn::SiameseNetwork;
 use serde::{Deserialize, Serialize};
 
 const MAGIC: &[u8; 4] = b"MGBD";
-/// Legacy wire version: no lineage section.
-const WIRE_LEGACY: u32 = 1;
-/// Versioned wire: a lineage section follows the format byte.
-const WIRE_LINEAGE: u32 = 2;
+/// The one wire version: a lineage section follows the format byte.
+const WIRE_VERSION: u32 = 2;
 const FORMAT_F32: u8 = 0;
 const FORMAT_QUANTIZED: u8 = 1;
+/// Header bytes ahead of the first section: magic, wire version, model
+/// format.
+const HEADER_LEN: usize = 9;
+/// Largest section the reader accepts.
+const MAX_SECTION: usize = 256 * 1024 * 1024;
 
 /// The deployable artefact produced by Cloud initialisation.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,10 +60,8 @@ pub struct EdgeBundle {
     pub support_set: SupportSet,
     /// Class id registry.
     pub registry: LabelRegistry,
-    /// Version lineage. `None` for legacy bundles, which serialize to
-    /// the pre-lineage wire layout byte-verbatim and report
-    /// [`ModelVersion::LEGACY`].
-    pub lineage: Option<Lineage>,
+    /// Version lineage: this bundle's version and its parent's hash.
+    pub lineage: Lineage,
 }
 
 /// Byte-level breakdown of a serialised bundle.
@@ -97,20 +99,91 @@ impl BundleSizeReport {
     }
 }
 
-fn get_section(buf: &mut Bytes, what: &str) -> Result<Vec<u8>> {
-    if buf.remaining() < 4 {
-        return Err(CoreError::InvalidBundle(format!("{what} header truncated")));
+/// A bundle wire image split into its header and its five sections,
+/// none of them decoded.
+#[derive(Debug, Clone, Copy)]
+pub struct WireImage<'a> {
+    /// The 9-byte header: magic, wire version, model format.
+    pub header: &'a [u8],
+    /// Lineage, pipeline, model, support set and registry, in wire
+    /// order.
+    pub sections: [&'a [u8]; WireImage::SECTIONS],
+}
+
+impl<'a> WireImage<'a> {
+    /// Sections in a wire image.
+    pub const SECTIONS: usize = 5;
+    const NAMES: [&'static str; WireImage::SECTIONS] =
+        ["lineage", "pipeline", "model", "support set", "registry"];
+
+    /// Split `bytes` into header and sections. Checks the magic, the
+    /// wire version, the model format byte and every section length,
+    /// and refuses bytes after the last section.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidBundle`] naming the first framing problem.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+        let invalid = |what: String| Err(CoreError::InvalidBundle(what));
+        let Some((header, mut rest)) = bytes.split_at_checked(HEADER_LEN) else {
+            return invalid("bundle header truncated".into());
+        };
+        if &header[..4] != MAGIC {
+            return invalid("bad magic".into());
+        }
+        let wire_version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if wire_version != WIRE_VERSION {
+            return invalid(format!(
+                "unsupported bundle wire version {wire_version} (expected {WIRE_VERSION})"
+            ));
+        }
+        if !matches!(header[8], FORMAT_F32 | FORMAT_QUANTIZED) {
+            return invalid(format!("unknown model format {}", header[8]));
+        }
+        let mut sections = [&[][..]; WireImage::SECTIONS];
+        for (section, what) in sections.iter_mut().zip(WireImage::NAMES) {
+            let Some((len, tail)) = rest.split_first_chunk::<4>() else {
+                return invalid(format!("{what} header truncated"));
+            };
+            let len = u32::from_le_bytes(*len) as usize;
+            if len > MAX_SECTION {
+                return invalid(format!("{what} section implausibly large ({len} bytes)"));
+            }
+            let Some((body, tail)) = tail.split_at_checked(len) else {
+                return invalid(format!("{what} body truncated"));
+            };
+            *section = body;
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return invalid(format!("{} trailing bytes after the registry", rest.len()));
+        }
+        Ok(WireImage { header, sections })
     }
-    let len = buf.get_u32_le() as usize;
-    if len > 256 * 1024 * 1024 {
-        return Err(CoreError::InvalidBundle(format!(
-            "{what} section implausibly large ({len} bytes)"
-        )));
+
+    /// Whether the model section stores int8 weights.
+    pub fn quantized(&self) -> bool {
+        self.header[8] == FORMAT_QUANTIZED
     }
-    if buf.remaining() < len {
-        return Err(CoreError::InvalidBundle(format!("{what} body truncated")));
+
+    /// Write a wire image: `header`, then each section with its `u32`
+    /// length prefix. Owned sections are dropped as soon as they are
+    /// written, so a growing output never coexists with all of them.
+    ///
+    /// # Errors
+    /// Propagates writer I/O errors (an in-memory sink never fails).
+    pub fn write<W: std::io::Write>(
+        header: &[u8],
+        sections: impl IntoIterator<Item = impl AsRef<[u8]>>,
+        out: &mut W,
+    ) -> std::io::Result<()> {
+        out.write_all(header)?;
+        for section in sections {
+            let section = section.as_ref();
+            out.write_all(&(section.len() as u32).to_le_bytes())?;
+            out.write_all(section)?;
+        }
+        Ok(())
     }
-    Ok(buf.copy_to_bytes(len).to_vec())
 }
 
 impl EdgeBundle {
@@ -147,30 +220,20 @@ impl EdgeBundle {
         })
         .expect("support set serialisation cannot fail");
         let registry = serde_json::to_vec(&self.registry).expect("registry serialisation");
+        let lineage = serde_json::to_vec(&self.lineage).expect("lineage serialisation");
 
-        out.write_all(MAGIC)?;
-        let wire_version = if self.lineage.is_some() {
-            WIRE_LINEAGE
-        } else {
-            WIRE_LEGACY
-        };
-        out.write_all(&wire_version.to_le_bytes())?;
-        out.write_all(&[if quantized { FORMAT_QUANTIZED } else { FORMAT_F32 }])?;
-        if let Some(lineage) = &self.lineage {
-            let section = serde_json::to_vec(lineage).expect("lineage serialisation");
-            out.write_all(&(section.len() as u32).to_le_bytes())?;
-            out.write_all(&section)?;
-        }
-        for section in [
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(MAGIC);
+        header[4..8].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+        header[8] = if quantized { FORMAT_QUANTIZED } else { FORMAT_F32 };
+        let sections = [
+            lineage,
             self.pipeline.to_bytes(),
             self.model_section(quantized),
             support,
             registry,
-        ] {
-            out.write_all(&(section.len() as u32).to_le_bytes())?;
-            out.write_all(&section)?;
-        }
-        Ok(())
+        ];
+        WireImage::write(&header, sections, out)
     }
 
     /// Serialise the bundle. With `quantized = true` the model section
@@ -187,57 +250,26 @@ impl EdgeBundle {
     /// # Errors
     /// [`CoreError::InvalidBundle`] on any framing/content problem.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 9 {
-            return Err(CoreError::InvalidBundle("bundle header truncated".into()));
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CoreError::InvalidBundle("bad magic".into()));
-        }
-        let wire_version = buf.get_u32_le();
-        if wire_version != WIRE_LEGACY && wire_version != WIRE_LINEAGE {
-            return Err(CoreError::InvalidBundle(format!(
-                "unsupported bundle version {wire_version}"
-            )));
-        }
-        let format = buf.get_u8();
-        let lineage = if wire_version == WIRE_LINEAGE {
-            let lineage_bytes = get_section(&mut buf, "lineage")?;
-            let lineage: Lineage = serde_json::from_slice(&lineage_bytes)
-                .map_err(|e| CoreError::InvalidBundle(format!("lineage: {e}")))?;
-            Some(lineage)
-        } else {
-            None
-        };
-        let pipeline_bytes = get_section(&mut buf, "pipeline")?;
-        let model_bytes = get_section(&mut buf, "model")?;
-        let support_bytes = get_section(&mut buf, "support set")?;
-        let registry_bytes = get_section(&mut buf, "registry")?;
-
-        let pipeline = PreprocessingPipeline::from_bytes(&pipeline_bytes)?;
-        let envelope: SupportEnvelopeOwned = serde_json::from_slice(&support_bytes)
+        let wire = WireImage::parse(bytes)?;
+        let [lineage_bytes, pipeline_bytes, model_bytes, support_bytes, registry_bytes] =
+            wire.sections;
+        let lineage: Lineage = serde_json::from_slice(lineage_bytes)
+            .map_err(|e| CoreError::InvalidBundle(format!("lineage: {e}")))?;
+        let pipeline = PreprocessingPipeline::from_bytes(pipeline_bytes)?;
+        let envelope: SupportEnvelopeOwned = serde_json::from_slice(support_bytes)
             .map_err(|e| CoreError::InvalidBundle(format!("support set: {e}")))?;
-        let registry: LabelRegistry = serde_json::from_slice(&registry_bytes)
+        let registry: LabelRegistry = serde_json::from_slice(registry_bytes)
             .map_err(|e| CoreError::InvalidBundle(format!("registry: {e}")))?;
 
         // A quantised model section stays quantised: the int8 weights
         // become the resident model directly, with zero f32 rehydration.
-        let model = match format {
-            FORMAT_F32 => ResidentModel::F32(SiameseNetwork::new(
-                decode_mlp(&model_bytes)?,
+        let model = if wire.quantized() {
+            ResidentModel::Int8(QuantizedSiamese::from_parts(
+                QuantizedMlp::from_bytes(model_bytes)?,
                 envelope.margin,
-            )),
-            FORMAT_QUANTIZED => ResidentModel::Int8(QuantizedSiamese::from_parts(
-                QuantizedMlp::from_bytes(&model_bytes)?,
-                envelope.margin,
-            )),
-            other => {
-                return Err(CoreError::InvalidBundle(format!(
-                    "unknown model format {other}"
-                )))
-            }
+            ))
+        } else {
+            ResidentModel::F32(SiameseNetwork::new(decode_mlp(model_bytes)?, envelope.margin))
         };
 
         let bundle = EdgeBundle {
@@ -251,16 +283,15 @@ impl EdgeBundle {
         Ok(bundle)
     }
 
-    /// This bundle's model version: [`ModelVersion::LEGACY`] (v0) when
-    /// no lineage is attached.
+    /// This bundle's model version.
     pub fn version(&self) -> ModelVersion {
-        self.lineage.map_or(ModelVersion::LEGACY, |l| l.version)
+        self.lineage.version
     }
 
-    /// Attach a lineage, turning a legacy bundle into a versioned one.
+    /// Replace the lineage (stamp a successor or a chosen version).
     #[must_use]
     pub fn with_lineage(mut self, lineage: Lineage) -> EdgeBundle {
-        self.lineage = Some(lineage);
+        self.lineage = lineage;
         self
     }
 
@@ -288,12 +319,10 @@ impl EdgeBundle {
     /// # Errors
     /// [`CoreError::InvalidBundle`] describing the first inconsistency.
     pub fn validate(&self) -> Result<()> {
-        if let Some(lineage) = &self.lineage {
-            if lineage.version.is_legacy() {
-                return Err(CoreError::InvalidBundle(
-                    "lineage carries the reserved legacy version v0".into(),
-                ));
-            }
+        if self.lineage.version.0 == 0 {
+            return Err(CoreError::InvalidBundle(
+                "lineage carries version v0; versions start at v1".into(),
+            ));
         }
         if self.model.input_dim() != self.pipeline.output_dim() {
             return Err(CoreError::InvalidBundle(format!(
@@ -322,21 +351,15 @@ impl EdgeBundle {
 
     /// Measured size breakdown for a given precision.
     pub fn size_report(&self, quantized: bool) -> BundleSizeReport {
-        let pipeline_bytes = self.pipeline.to_bytes().len();
-        let model_bytes = self.model_section(quantized).len();
-        let support_set_bytes = serde_json::to_vec(&SupportEnvelope {
-            margin: self.model.margin(),
-            support_set: &self.support_set,
-        })
-        .map(|v| v.len())
-        .unwrap_or(0);
-        let registry_bytes = serde_json::to_vec(&self.registry).map(|v| v.len()).unwrap_or(0);
+        let bytes = self.to_bytes(quantized);
+        let wire = WireImage::parse(&bytes).expect("a bundle parses its own wire image");
+        let [_, pipeline, model, support, registry] = wire.sections.map(<[u8]>::len);
         BundleSizeReport {
-            pipeline_bytes,
-            model_bytes,
-            support_set_bytes,
-            registry_bytes,
-            total_bytes: self.to_bytes(quantized).len(),
+            pipeline_bytes: pipeline,
+            model_bytes: model,
+            support_set_bytes: support,
+            registry_bytes: registry,
+            total_bytes: bytes.len(),
         }
     }
 
@@ -394,7 +417,7 @@ mod tests {
             model: SiameseNetwork::new(backbone, 1.0).into(),
             support_set: support,
             registry: LabelRegistry::from_labels(["walk", "run"]),
-            lineage: None,
+            lineage: Lineage::root(1),
         }
     }
 
@@ -439,8 +462,17 @@ mod tests {
             + report.model_bytes
             + report.support_set_bytes
             + report.registry_bytes;
-        // Total = parts + framing (9-byte header + 4 section headers).
-        assert_eq!(report.total_bytes, parts + 9 + 16);
+        let lineage = serde_json::to_vec(&b.lineage).unwrap().len();
+        // Total = parts + lineage + framing (9-byte header + 5 section
+        // headers).
+        assert_eq!(report.total_bytes, parts + lineage + 9 + 20);
+        // The split matches the sections the serialisers produce.
+        assert_eq!(report.pipeline_bytes, b.pipeline.to_bytes().len());
+        assert_eq!(report.model_bytes, b.model_section(false).len());
+        assert_eq!(
+            b.size_report(true).model_bytes,
+            b.model_section(true).len()
+        );
         assert!(report.total_mib() > 0.0);
     }
 
@@ -517,27 +549,47 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bundle_serializes_byte_verbatim_and_reports_v0() {
-        // A bundle with no lineage must keep the pre-versioning wire
-        // layout exactly: wire version 1, no lineage section, and a
-        // byte-identical re-serialization after decode.
-        let b = tiny_bundle(20);
-        assert_eq!(b.version(), ModelVersion::LEGACY);
-        let bytes = b.to_bytes(false);
-        assert_eq!(&bytes[4..8], &1u32.to_le_bytes());
-        let back = EdgeBundle::from_bytes(&bytes).unwrap();
-        assert_eq!(back.version(), ModelVersion::LEGACY);
-        assert_eq!(back.to_bytes(false), bytes);
+    fn wire_v1_bundle_is_refused() {
+        // The pre-lineage layout: wire version 1 and no lineage section.
+        let bytes = tiny_bundle(20).to_bytes(false);
+        let wire = WireImage::parse(&bytes).unwrap();
+        let mut header = wire.header.to_vec();
+        header[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut v1 = Vec::new();
+        WireImage::write(&header, &wire.sections[1..], &mut v1).unwrap();
+        let err = EdgeBundle::from_bytes(&v1).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidBundle(_)), "{err}");
+        assert!(err.to_string().contains("wire version 1"), "{err}");
+    }
+
+    #[test]
+    fn parse_splits_every_section_and_refuses_trailing_bytes() {
+        let b = tiny_bundle(27);
+        for quantized in [false, true] {
+            let bytes = b.to_bytes(quantized);
+            let wire = WireImage::parse(&bytes).unwrap();
+            assert_eq!(wire.quantized(), quantized);
+            assert_eq!(wire.sections[0], serde_json::to_vec(&b.lineage).unwrap());
+            let mut rebuilt = Vec::new();
+            WireImage::write(wire.header, wire.sections, &mut rebuilt).unwrap();
+            assert_eq!(rebuilt, bytes);
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(matches!(
+                EdgeBundle::from_bytes(&longer),
+                Err(CoreError::InvalidBundle(_))
+            ));
+        }
     }
 
     #[test]
     fn versioned_bundle_roundtrips_lineage() {
-        let root = tiny_bundle(21).with_lineage(Lineage::root(1));
+        let root = tiny_bundle(21).with_lineage(Lineage::root(4));
         for quantized in [false, true] {
             let bytes = root.to_bytes(quantized);
             assert_eq!(&bytes[4..8], &2u32.to_le_bytes());
             let back = EdgeBundle::from_bytes(&bytes).unwrap();
-            assert_eq!(back.version(), ModelVersion(1));
+            assert_eq!(back.version(), ModelVersion(4));
             assert_eq!(back.lineage, root.lineage);
             // Versioned bundles re-serialize byte-identically too.
             assert_eq!(back.to_bytes(quantized), bytes);
@@ -546,28 +598,30 @@ mod tests {
 
     #[test]
     fn child_lineage_validates_against_parent() {
-        let root = tiny_bundle(22).with_lineage(Lineage::root(1));
+        let root = tiny_bundle(22);
         let child = tiny_bundle(23).with_lineage(root.child_lineage());
         assert_eq!(child.version(), ModelVersion(2));
         child
             .lineage
-            .unwrap()
             .validate_succession(root.version(), root.content_hash())
             .unwrap();
         // A tampered parent does not validate.
         let other = tiny_bundle(24);
         assert!(child
             .lineage
-            .unwrap()
             .validate_succession(other.version(), other.content_hash())
             .is_err());
     }
 
     #[test]
     fn lineage_with_legacy_version_is_rejected() {
+        // v0 is no version: a lineage stamped v0 is refused.
         let b = tiny_bundle(25).with_lineage(Lineage::root(0));
-        assert!(b.validate().is_err());
-        assert!(EdgeBundle::from_bytes(&b.to_bytes(false)).is_err());
+        assert!(matches!(b.validate(), Err(CoreError::InvalidBundle(_))));
+        assert!(matches!(
+            EdgeBundle::from_bytes(&b.to_bytes(false)),
+            Err(CoreError::InvalidBundle(_))
+        ));
     }
 
     #[test]
@@ -576,8 +630,8 @@ mod tests {
         let mut digest = Fnv64::new();
         digest.update(&b.to_bytes(false));
         assert_eq!(b.content_hash(), digest.finish());
-        // Attaching lineage changes the wire bytes and thus the hash.
-        let versioned = b.clone().with_lineage(Lineage::root(1));
+        // Another lineage changes the wire bytes and thus the hash.
+        let versioned = b.clone().with_lineage(Lineage::root(2));
         assert_ne!(versioned.content_hash(), digest.finish());
     }
 

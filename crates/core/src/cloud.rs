@@ -18,6 +18,7 @@ use crate::bundle::EdgeBundle;
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
 use crate::support_set::{SelectionStrategy, SupportSet};
+use crate::version::Lineage;
 use crate::Result;
 use magneto_dsp::{PipelineConfig, PreprocessingPipeline};
 use magneto_nn::trainer::{train_siamese, TrainerConfig, TrainingReport};
@@ -112,7 +113,8 @@ impl CloudInitializer {
     }
 
     /// Run the full offline step over a labelled corpus, producing the
-    /// deployable bundle and a training report.
+    /// deployable bundle (stamped as the root version, v1) and a
+    /// training report.
     ///
     /// # Errors
     /// [`CoreError::InsufficientData`] for an empty corpus; training and
@@ -160,7 +162,7 @@ impl CloudInitializer {
             model: model.into(),
             support_set,
             registry: registry.clone(),
-            lineage: None,
+            lineage: Lineage::root(1),
         };
         bundle.validate()?;
         Ok((

@@ -54,8 +54,8 @@ pub struct PersonalDelta {
     /// The base-model version this delta was calibrated against. A
     /// prototype lives in its base's embedding space, so a delta pinned
     /// to version N must be replayed (not blindly re-applied) when the
-    /// base moves to N+1. Skipped when unset so pre-versioning deltas
-    /// serialize byte-identically.
+    /// base moves to N+1. `None` until a calibration pins it: an empty
+    /// delta depends on no base. Skipped when unset.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     base_version: Option<ModelVersion>,
 }
@@ -143,7 +143,7 @@ impl PersonalDelta {
     }
 
     /// The base version this delta is pinned to, if any. `None` means
-    /// the delta predates versioning (treat as v0).
+    /// no calibration has pinned it yet, so it applies to any base.
     pub fn base_version(&self) -> Option<ModelVersion> {
         self.base_version
     }
@@ -325,9 +325,8 @@ mod tests {
 
     #[test]
     fn unpinned_delta_bytes_are_unchanged() {
-        // Serialized bytes of a delta without a version pin must stay
-        // identical to the pre-versioning layout, so paged-out legacy
-        // spool files keep round-tripping byte-exactly.
+        // A delta without a version pin serializes without the field
+        // and round-trips byte-exactly.
         let mut delta = PersonalDelta::new();
         delta.set_prototype("walk", vec![1.0, 2.0]);
         delta.set_margin(0.5);

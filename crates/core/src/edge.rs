@@ -75,7 +75,7 @@ pub struct EdgeDevice {
     session: StreamingSession,
     embedder: BatchEmbedder,
     rng: SeededRng,
-    lineage: Option<Lineage>,
+    lineage: Lineage,
     healing: Option<HealingLoop>,
 }
 
@@ -493,10 +493,9 @@ impl EdgeDevice {
         }
     }
 
-    /// The base-model version this device is serving
-    /// ([`ModelVersion::LEGACY`] for pre-versioning bundles).
+    /// The base-model version this device is serving.
     pub fn model_version(&self) -> ModelVersion {
-        self.lineage.map_or(ModelVersion::LEGACY, |l| l.version)
+        self.lineage.version
     }
 
     /// Direct access to the model state (experiments and diagnostics).

@@ -282,7 +282,7 @@ impl ModelState {
         bundle: EdgeBundle,
         precision: Precision,
         metric: DistanceMetric,
-    ) -> Result<(Self, PreprocessingPipeline, Option<Lineage>)> {
+    ) -> Result<(Self, PreprocessingPipeline, Lineage)> {
         bundle.validate()?;
         let state = ModelState::assemble(
             bundle.model.into_precision(precision)?,

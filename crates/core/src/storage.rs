@@ -5,9 +5,17 @@
 //! Persistence is strictly local — writing the bundle to the device's own
 //! storage is not a privacy event.
 //!
-//! Format: the bundle's wire bytes wrapped with a magic, a format flag and
-//! a CRC-32 so a half-written file (battery died mid-save) is detected
-//! and rejected instead of deserialised into garbage.
+//! Format: one frame for every file, bundle or spooled delta:
+//!
+//! ```text
+//! frame := magic "MGSV" | u32 crc32(body) | u32 len(body) | body
+//! body  := u32 model_version | payload
+//! ```
+//!
+//! The CRC-32 catches a half-written file (battery died mid-save) so it
+//! is rejected instead of deserialised into garbage, and the stamped
+//! [`ModelVersion`] (≥ 1) lets a loader check the payload belongs to
+//! the base it expects. Any other magic, or a v0 stamp, is refused.
 //!
 //! Crash safety: [`save_bundle`] is a two-phase journaled commit. The new
 //! frame is first written to a uniquely named temp file (fsync'd), then
@@ -27,12 +35,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-const MAGIC: &[u8; 4] = b"MGST";
-/// Versioned frame magic: the framed payload is prefixed with the
+/// Frame magic. The framed payload is prefixed with the
 /// [`ModelVersion`] it belongs to, so bundles and spool files carry
-/// their base-model version on disk and validate it on load. Legacy
-/// `MGST` frames keep their exact byte layout and read back as v0.
-const MAGIC_VERSIONED: &[u8; 4] = b"MGSV";
+/// their base-model version on disk and validate it on load.
+const MAGIC: &[u8; 4] = b"MGSV";
 
 /// The 256-entry CRC-32 lookup table (polynomial `0xEDB8_8320`,
 /// reflected), computed once at compile time.
@@ -118,72 +124,45 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Wrap `payload` in the `MGST` + CRC-32 + length frame.
-fn frame_payload(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(payload.len() + 12);
-    framed.extend_from_slice(MAGIC);
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
-}
-
-/// Wrap `payload` in the versioned `MGSV` frame: the framed body is
-/// `u32 version || payload`, CRC-covered as a whole. A v0 version falls
-/// back to the legacy `MGST` frame byte-verbatim, so unversioned
-/// artefacts never change on disk.
-fn frame_payload_versioned(payload: &[u8], version: ModelVersion) -> Vec<u8> {
-    if version.is_legacy() {
-        return frame_payload(payload);
-    }
+/// Wrap `payload` in the frame: the framed body is
+/// `u32 version || payload`, CRC-covered as a whole.
+fn frame_payload(payload: &[u8], version: ModelVersion) -> Vec<u8> {
     let mut body = Vec::with_capacity(payload.len() + 4);
     body.extend_from_slice(&version.0.to_le_bytes());
     body.extend_from_slice(payload);
     let mut framed = Vec::with_capacity(body.len() + 12);
-    framed.extend_from_slice(MAGIC_VERSIONED);
+    framed.extend_from_slice(MAGIC);
     framed.extend_from_slice(&crc32(&body).to_le_bytes());
     framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
     framed.extend_from_slice(&body);
     framed
 }
 
-/// Validate a frame (either magic) and return the payload slice plus
-/// the version it carries, or `None` if the bytes are torn, truncated,
-/// or corrupt. Legacy `MGST` frames report [`ModelVersion::LEGACY`].
+/// Validate a frame and return the payload slice plus the version it
+/// carries, or `None` if the bytes are torn, truncated, corrupt, not
+/// this frame, or stamped v0.
 fn unframe(bytes: &[u8]) -> Option<(&[u8], ModelVersion)> {
-    if bytes.len() < 12 {
+    if bytes.len() < 12 || &bytes[..4] != MAGIC {
         return None;
     }
-    let versioned = match &bytes[..4] {
-        m if m == MAGIC => false,
-        m if m == MAGIC_VERSIONED => true,
-        _ => return None,
-    };
     let stored_crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
     let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let body = bytes.get(12..12 + len)?;
     if crc32(body) != stored_crc {
         return None;
     }
-    if !versioned {
-        return Some((body, ModelVersion::LEGACY));
-    }
-    if body.len() < 4 {
-        return None;
-    }
-    let version = ModelVersion(u32::from_le_bytes([body[0], body[1], body[2], body[3]]));
-    let payload = &body[4..];
-    // A versioned frame claiming v0 would be indistinguishable from a
-    // legacy one on read-back; the writer never produces it.
-    (!version.is_legacy()).then_some((payload, version))
+    let (version, payload) = body.split_first_chunk::<4>()?;
+    let version = ModelVersion(u32::from_le_bytes(*version));
+    (version.0 != 0).then_some((payload, version))
 }
 
-/// Save an arbitrary payload to `path` crash-safely, wrapped in the same
-/// `MGST` + CRC-32 frame and two-phase journaled commit as
-/// [`save_bundle`]. This is the generic persistence primitive the tiered
-/// fleet session store uses to page cold per-user deltas out to disk —
-/// anything written here survives a power cut at any byte with
-/// old-or-new (never torn) semantics.
+/// Save an arbitrary payload to `path` crash-safely, stamped with the
+/// [`ModelVersion`] it belongs to, in the same CRC-32 frame and
+/// two-phase journaled commit as [`save_bundle`]. This is the generic
+/// persistence primitive the tiered fleet session store uses to page
+/// cold per-user deltas out to disk — anything written here survives a
+/// power cut at any byte with old-or-new (never torn) semantics, and
+/// [`load_framed`] returns the stamp for the loader to validate.
 ///
 /// Protocol (each step durable before the next):
 /// 1. write the frame to a uniquely named `…tmp.<pid>.<seq>` sibling and
@@ -195,19 +174,8 @@ fn unframe(bytes: &[u8]) -> Option<(&[u8], ModelVersion)> {
 ///
 /// # Errors
 /// [`CoreError::InvalidBundle`] wrapping any I/O failure.
-pub fn save_framed(payload: &[u8], path: &Path) -> Result<()> {
-    save_framed_versioned(payload, ModelVersion::LEGACY, path)
-}
-
-/// [`save_framed`] with a [`ModelVersion`] stamped into the frame, so
-/// the artefact carries its base-model version on disk and
-/// [`load_framed_versioned`] can validate it. A legacy (v0) version
-/// writes the exact legacy `MGST` frame.
-///
-/// # Errors
-/// [`CoreError::InvalidBundle`] wrapping any I/O failure.
-pub fn save_framed_versioned(payload: &[u8], version: ModelVersion, path: &Path) -> Result<()> {
-    let framed = frame_payload_versioned(payload, version);
+pub fn save_framed(payload: &[u8], version: ModelVersion, path: &Path) -> Result<()> {
+    let framed = frame_payload(payload, version);
     let tmp = unique_tmp_path(path);
     {
         let mut f = fs::File::create(&tmp).map_err(io_err)?;
@@ -224,23 +192,14 @@ pub fn save_framed_versioned(payload: &[u8], version: ModelVersion, path: &Path)
     committed.map_err(io_err)
 }
 
-/// Load a payload previously written by [`save_framed`], first
-/// completing any interrupted save via [`recover_journal`].
+/// Load a payload previously written by [`save_framed`] plus the
+/// [`ModelVersion`] its frame carries, first completing any interrupted
+/// save via [`recover_journal`].
 ///
 /// # Errors
-/// [`CoreError::InvalidBundle`] on I/O failure, bad framing, or checksum
-/// mismatch.
-pub fn load_framed(path: &Path) -> Result<Vec<u8>> {
-    load_framed_versioned(path).map(|(payload, _)| payload)
-}
-
-/// Load a payload plus the [`ModelVersion`] its frame carries. Legacy
-/// `MGST` frames report [`ModelVersion::LEGACY`].
-///
-/// # Errors
-/// [`CoreError::InvalidBundle`] on I/O failure, bad framing, or checksum
-/// mismatch.
-pub fn load_framed_versioned(path: &Path) -> Result<(Vec<u8>, ModelVersion)> {
+/// [`CoreError::InvalidBundle`] on I/O failure, bad framing (another
+/// magic or a v0 stamp included), or checksum mismatch.
+pub fn load_framed(path: &Path) -> Result<(Vec<u8>, ModelVersion)> {
     recover_journal(path)?;
     let bytes = fs::read(path)
         .map_err(|e| CoreError::InvalidBundle(format!("storage read {}: {e}", path.display())))?;
@@ -255,15 +214,13 @@ pub fn load_framed_versioned(path: &Path) -> Result<(Vec<u8>, ModelVersion)> {
 }
 
 /// Save a bundle to `path` crash-safely, with checksum framing — the
-/// [`save_framed`] commit protocol over the bundle's wire bytes.
+/// [`save_framed`] commit protocol over the bundle's wire bytes, stamped
+/// with the bundle's version.
 ///
 /// # Errors
 /// [`CoreError::InvalidBundle`] wrapping any I/O failure.
 pub fn save_bundle(bundle: &EdgeBundle, path: &Path, quantized: bool) -> Result<()> {
-    // A versioned bundle stamps its version into the frame, so the
-    // on-disk artefact is self-describing even before decode; a legacy
-    // bundle keeps the byte-exact legacy frame.
-    save_framed_versioned(&bundle.to_bytes(quantized), bundle.version(), path)
+    save_framed(&bundle.to_bytes(quantized), bundle.version(), path)
 }
 
 /// Inspect `path`'s write-ahead journal, rolling a complete one forward
@@ -309,12 +266,9 @@ pub fn recover_journal(path: &Path) -> Result<bool> {
 /// mismatch, bundle decode failure, or a frame whose stamped version
 /// disagrees with the decoded bundle's lineage.
 pub fn load_bundle(path: &Path) -> Result<EdgeBundle> {
-    let (payload, frame_version) = load_framed_versioned(path)?;
+    let (payload, frame_version) = load_framed(path)?;
     let bundle = EdgeBundle::from_bytes(&payload)?;
-    // A versioned frame must agree with the bundle inside it. Legacy
-    // frames (v0) may wrap anything — including versioned bundles saved
-    // through the generic save_framed path.
-    if !frame_version.is_legacy() && frame_version != bundle.version() {
+    if frame_version != bundle.version() {
         return Err(CoreError::InvalidBundle(format!(
             "storage frame is stamped {frame_version} but the bundle inside is {}",
             bundle.version()
@@ -403,8 +357,9 @@ mod tests {
     fn framed_payload_roundtrip_and_corruption() {
         let path = temp_path("framed");
         let payload = b"arbitrary session delta bytes \x00\x01\xff";
-        save_framed(payload, &path).unwrap();
-        assert_eq!(load_framed(&path).unwrap(), payload);
+        let v1 = ModelVersion(1);
+        save_framed(payload, v1, &path).unwrap();
+        assert_eq!(load_framed(&path).unwrap(), (payload.to_vec(), v1));
         // Corruption is caught by the CRC.
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -412,12 +367,12 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(load_framed(&path).is_err());
         // A torn journal is discarded and the old payload survives.
-        save_framed(payload, &path).unwrap();
-        fs::write(journal_path(&path), b"MGSThalf").unwrap();
-        assert_eq!(load_framed(&path).unwrap(), payload);
+        save_framed(payload, v1, &path).unwrap();
+        fs::write(journal_path(&path), b"MGSVhalf").unwrap();
+        assert_eq!(load_framed(&path).unwrap().0, payload);
         // A complete journal rolls forward.
-        fs::write(journal_path(&path), frame_payload(b"newer")).unwrap();
-        assert_eq!(load_framed(&path).unwrap(), b"newer");
+        fs::write(journal_path(&path), frame_payload(b"newer", v1)).unwrap();
+        assert_eq!(load_framed(&path).unwrap().0, b"newer");
         fs::remove_file(&path).ok();
     }
 
@@ -426,20 +381,14 @@ mod tests {
         use crate::version::Lineage;
         let path = temp_path("versioned_frame");
         let payload = b"delta bytes pinned to a base version";
-        save_framed_versioned(payload, ModelVersion(3), &path).unwrap();
-        let (back, version) = load_framed_versioned(&path).unwrap();
+        save_framed(payload, ModelVersion(3), &path).unwrap();
+        let (back, version) = load_framed(&path).unwrap();
         assert_eq!(back, payload);
         assert_eq!(version, ModelVersion(3));
-        // The plain loader reads through the versioned frame too.
-        assert_eq!(load_framed(&path).unwrap(), payload);
         // The version survives journal recovery: plant a complete
-        // versioned journal and confirm roll-forward keeps the stamp.
-        fs::write(
-            journal_path(&path),
-            frame_payload_versioned(b"newer", ModelVersion(4)),
-        )
-        .unwrap();
-        let (rolled, rolled_version) = load_framed_versioned(&path).unwrap();
+        // journal and confirm roll-forward keeps the stamp.
+        fs::write(journal_path(&path), frame_payload(b"newer", ModelVersion(4))).unwrap();
+        let (rolled, rolled_version) = load_framed(&path).unwrap();
         assert_eq!(rolled, b"newer");
         assert_eq!(rolled_version, ModelVersion(4));
         // Versioned bundles round-trip the version through save/load.
@@ -451,21 +400,43 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// The pre-versioning frame: `MGST`, CRC-32 and length around the
+    /// bare payload.
+    fn mgst_frame(payload: &[u8]) -> Vec<u8> {
+        let mut framed = "MGST".as_bytes().to_vec();
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(payload);
+        framed
+    }
+
     #[test]
-    fn legacy_frame_bytes_are_unchanged_and_report_v0() {
-        let path = temp_path("legacy_frame");
-        let payload = b"legacy spool payload";
-        save_framed(payload, &path).unwrap();
-        // save_framed must still emit the exact pre-versioning frame.
-        assert_eq!(fs::read(&path).unwrap(), frame_payload(payload));
-        let (back, version) = load_framed_versioned(&path).unwrap();
-        assert_eq!(back, payload);
-        assert_eq!(version, ModelVersion::LEGACY);
-        // A legacy bundle saved through save_bundle keeps MGST framing.
+    fn mgst_frame_and_v0_stamp_are_refused() {
+        let path = temp_path("old_frames");
         let b = bundle();
+        let refused = |path: &Path| {
+            let err = load_bundle(path).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidBundle(_)), "{err}");
+            assert!(matches!(load_framed(path), Err(CoreError::InvalidBundle(_))));
+        };
+        // A well-formed MGST frame around a valid bundle.
+        fs::write(&path, mgst_frame(&b.to_bytes(false))).unwrap();
+        refused(&path);
+        // A CRC-valid frame stamped v0.
+        fs::write(&path, frame_payload(&b.to_bytes(false), ModelVersion(0))).unwrap();
+        refused(&path);
+        // A CRC-valid frame whose body is too short to hold a stamp.
+        let mut short = MAGIC.to_vec();
+        short.extend_from_slice(&crc32(b"v1").to_le_bytes());
+        short.extend_from_slice(&2u32.to_le_bytes());
+        short.extend_from_slice(b"v1");
+        fs::write(&path, short).unwrap();
+        refused(&path);
+        // Neither counts as a complete journal: recovery discards it.
         save_bundle(&b, &path, false).unwrap();
-        assert_eq!(&fs::read(&path).unwrap()[..4], b"MGST");
-        assert_eq!(load_bundle(&path).unwrap().version(), ModelVersion::LEGACY);
+        fs::write(journal_path(&path), mgst_frame(b"old")).unwrap();
+        assert!(!recover_journal(&path).unwrap());
+        assert_eq!(load_bundle(&path).unwrap(), b);
         fs::remove_file(&path).ok();
     }
 
@@ -475,12 +446,11 @@ mod tests {
         let b = bundle().with_lineage(Lineage::root(2));
         let path = temp_path("version_mismatch");
         // Stamp the frame with a different version than the lineage.
-        save_framed_versioned(&b.to_bytes(false), ModelVersion(9), &path).unwrap();
+        save_framed(&b.to_bytes(false), ModelVersion(9), &path).unwrap();
         let err = load_bundle(&path).unwrap_err();
         assert!(err.to_string().contains("stamped"), "{err}");
-        // A legacy frame wrapping a versioned bundle is accepted (the
-        // generic save_framed path cannot know the version).
-        save_framed(&b.to_bytes(false), &path).unwrap();
+        // The matching stamp loads.
+        save_framed(&b.to_bytes(false), ModelVersion(2), &path).unwrap();
         assert_eq!(load_bundle(&path).unwrap().version(), ModelVersion(2));
         fs::remove_file(&path).ok();
     }
@@ -609,7 +579,11 @@ mod tests {
         save_bundle(&old, &path, false).unwrap();
         // Simulate a crash after the journal became durable but before the
         // final rename: plant the complete new frame at the journal path.
-        fs::write(journal_path(&path), frame_payload(&new.to_bytes(false))).unwrap();
+        fs::write(
+            journal_path(&path),
+            frame_payload(&new.to_bytes(false), new.version()),
+        )
+        .unwrap();
         assert!(recover_journal(&path).unwrap());
         assert!(!journal_path(&path).exists());
         let loaded = load_bundle(&path).unwrap();
@@ -633,10 +607,10 @@ mod tests {
 
         let path = temp_path("kill_every_byte");
         save_bundle(&old, &path, false).unwrap();
-        let new_frame = frame_payload(&new_bytes);
+        let new_frame = frame_payload(&new_bytes, new.version());
         let journal = journal_path(&path);
 
-        let old_frame = frame_payload(&old_bytes);
+        let old_frame = frame_payload(&old_bytes, old.version());
         for cut in 0..=new_frame.len() {
             // The torn journal models every crash point: before `cut`
             // bytes of the new frame reached disk the rename into the
@@ -681,7 +655,7 @@ mod tests {
         let b = bundle();
         let path = temp_path("torn");
         save_bundle(&b, &path, false).unwrap();
-        fs::write(journal_path(&path), b"MGST\x01\x02half a frame").unwrap();
+        fs::write(journal_path(&path), b"MGSV\x01\x02half a frame").unwrap();
         assert!(!recover_journal(&path).unwrap());
         assert!(!journal_path(&path).exists());
         assert_eq!(load_bundle(&path).unwrap().registry, b.registry);
@@ -695,7 +669,7 @@ mod tests {
         let b = bundle();
         let path = temp_path("journal_only");
         fs::remove_file(&path).ok();
-        fs::write(journal_path(&path), frame_payload(&b.to_bytes(false))).unwrap();
+        fs::write(journal_path(&path), frame_payload(&b.to_bytes(false), b.version())).unwrap();
         let loaded = load_bundle(&path).unwrap();
         assert_eq!(loaded.to_bytes(false), b.to_bytes(false));
         fs::remove_file(&path).ok();

@@ -1,44 +1,28 @@
 //! Versioned model lineage.
 //!
 //! A base model is an **immutable, versioned artefact**, not an
-//! anonymous byte blob: every [`crate::bundle::EdgeBundle`] the cloud
-//! ships after the initial deploy carries a [`Lineage`] — a monotonic
-//! [`ModelVersion`] plus the content hash of the parent bundle it was
-//! derived from. The lineage threads through the bundle wire format
-//! (`storage.rs` frames carry it, spool files validate it) and lets the
-//! rollout driver prove that version N+1 really descends from the
-//! version N a device is serving before it applies a delta diff.
-//!
-//! Bundles written before versioning existed have no lineage; they
-//! decode as version 0 ([`ModelVersion::LEGACY`]) and re-serialize
-//! byte-verbatim.
+//! anonymous byte blob: every [`crate::bundle::EdgeBundle`] carries a
+//! [`Lineage`] — a monotonic [`ModelVersion`] plus the content hash of
+//! the parent bundle it was derived from. Cloud pretraining stamps the
+//! root, v1. The lineage threads through the bundle wire format
+//! (`storage.rs` frames carry the version, spool files validate it) and
+//! lets the rollout driver prove that version N+1 really descends from
+//! the version N a device is serving before it applies a delta diff.
 
 use crate::error::CoreError;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A monotonically increasing base-model version. `v0` is reserved for
-/// legacy (pre-versioning) bundles.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+/// A monotonically increasing base-model version, starting at v1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ModelVersion(pub u32);
 
 impl ModelVersion {
-    /// The version assigned to bundles serialized before lineage
-    /// existed.
-    pub const LEGACY: ModelVersion = ModelVersion(0);
-
     /// The successor version.
     #[must_use]
     pub fn next(self) -> ModelVersion {
         ModelVersion(self.0 + 1)
-    }
-
-    /// Whether this is the pre-versioning sentinel.
-    pub fn is_legacy(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -52,8 +36,8 @@ impl fmt::Display for ModelVersion {
 /// content hash of the bundle it was derived from (`None` for a root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Lineage {
-    /// This bundle's version. Must be ≥ 1: version 0 means "no
-    /// lineage" and is never written to the wire.
+    /// This bundle's version. Must be ≥ 1: bundle validation refuses
+    /// v0.
     pub version: ModelVersion,
     /// FNV-1a hash of the parent bundle's full-precision wire bytes,
     /// or `None` for the first versioned release.
@@ -149,8 +133,7 @@ mod tests {
 
     #[test]
     fn versions_order_and_display() {
-        assert!(ModelVersion::LEGACY.is_legacy());
-        assert!(ModelVersion(1) > ModelVersion::LEGACY);
+        assert!(ModelVersion(2) > ModelVersion(1));
         assert_eq!(ModelVersion(3).next(), ModelVersion(4));
         assert_eq!(ModelVersion(7).to_string(), "v7");
     }

@@ -16,6 +16,8 @@
 //!    to never having attempted the update.
 
 use magneto_core::drift::DriftStatus;
+use magneto_dsp::filter::DenoiseConfig;
+use magneto_dsp::{PipelineConfig, PreprocessingPipeline};
 use magneto_core::{
     CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, SelfHealingConfig,
     UpdateOutcome,
@@ -361,6 +363,90 @@ fn learning_from_faulted_recording_commits_or_rolls_back_cleanly() {
         let probe = frames(120 * 3, seed + 100);
         for p in dev.push_frames(&probe).unwrap() {
             assert!(p.raw.distances.iter().all(|d| d.is_finite()));
+        }
+    }
+}
+
+/// Seed NaN into `channels` in one of four shapes: a single sample, a
+/// run, a whole channel, or about one sample in sixteen of every
+/// channel.
+fn poison(channels: &mut [Vec<f32>], shape: u64, rng: &mut SeededRng) {
+    let c = (rng.next_u64() as usize) % channels.len();
+    let n = channels[c].len();
+    let at = (rng.next_u64() as usize) % n;
+    match shape % 4 {
+        0 => channels[c][at] = f32::NAN,
+        1 => channels[c][at..(at + 30).min(n)].fill(f32::NAN),
+        2 => channels[c].fill(f32::NAN),
+        _ => {
+            for v in channels.iter_mut().flatten() {
+                if rng.next_u64().is_multiple_of(16) {
+                    *v = f32::NAN;
+                }
+            }
+        }
+    }
+}
+
+/// Two paths reach the feature extractor without the entry guard:
+/// `raw_features_into` and on-device updates from a recording
+/// (`calibrate_activity`). Windows seeded with NaN give a value, an
+/// error or a rollback on both — never a panic. The low-pass filter
+/// smears one NaN over its whole channel, so the sweep also runs
+/// pipelines that denoise less and keep NaN scattered through the
+/// series the extractor sorts.
+#[test]
+fn nan_windows_never_panic_the_unguarded_feature_paths() {
+    let median_only = DenoiseConfig {
+        lowpass_cutoff_hz: None,
+        ..DenoiseConfig::default()
+    };
+    let mut rng = SeededRng::new(0x6e616e);
+    for denoise in [DenoiseConfig::default(), median_only, DenoiseConfig::disabled()] {
+        let pipeline = PreprocessingPipeline::new(PipelineConfig {
+            denoise,
+            ..PipelineConfig::default()
+        });
+        let mut out = vec![0.0f32; pipeline.output_dim()];
+        for seed in 0..16u64 {
+            let mut w = SensorDataset::record_session(
+                "walk",
+                ActivityKind::Walk,
+                PersonProfile::nominal(),
+                1.0,
+                seed,
+            )
+            .windows
+            .remove(0);
+            poison(&mut w.channels, seed, &mut rng);
+            let _ = pipeline.raw_features_into(&w.channels, &mut out);
+        }
+    }
+
+    // A device whose pipeline does not denoise learns from poisoned
+    // recordings.
+    let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 1);
+    let mut config = CloudConfig::fast_demo();
+    config.pipeline.denoise = DenoiseConfig::disabled();
+    let (raw_bundle, _) = CloudInitializer::new(config).pretrain(&corpus).unwrap();
+    for seed in 0..4u64 {
+        let mut recording = SensorDataset::record_session(
+            "walk",
+            ActivityKind::Walk,
+            PersonProfile::nominal(),
+            6.0,
+            seed,
+        );
+        for (i, w) in recording.windows.iter_mut().enumerate() {
+            poison(&mut w.channels, seed + i as u64, &mut rng);
+        }
+        let mut dev = EdgeDevice::deploy(raw_bundle.clone(), EdgeConfig::default()).unwrap();
+        let before = dev.as_bundle().to_bytes(false);
+        match dev.calibrate_activity("walk", &recording) {
+            Ok(UpdateOutcome::Committed(_)) => {}
+            Ok(UpdateOutcome::RolledBack { .. }) | Err(_) => {
+                assert_eq!(before, dev.as_bundle().to_bytes(false));
+            }
         }
     }
 }

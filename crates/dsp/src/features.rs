@@ -306,7 +306,7 @@ impl FrontEnd {
         for (l, row) in per_series.enumerate() {
             sorted.clear();
             sorted.extend_from_slice(column(l));
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            stats::sort_nan_last(sorted);
             // A flat series (std below 1e-12) reports zero skew and
             // kurtosis. Its moments were divided by that std, so only
             // lanes with `std >= 1e-12` keep them; a NaN std (NaN input)

@@ -73,7 +73,7 @@ pub fn median_filter_into(xs: &[f32], k: usize, out: &mut Vec<f32>) {
         let hi = (i + half + 1).min(n);
         buf.clear();
         buf.extend_from_slice(&xs[lo..hi]);
-        buf.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        magneto_tensor::stats::sort_nan_last(&mut buf);
         out.push(buf[buf.len() / 2]);
     }
 }

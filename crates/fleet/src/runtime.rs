@@ -561,9 +561,8 @@ impl Fleet {
         Ok(())
     }
 
-    /// The model version a session currently serves (v0 for sessions on
-    /// a legacy unversioned base). Works for hot and paged sessions
-    /// without rehydrating.
+    /// The model version a session currently serves. Works for hot and
+    /// paged sessions without rehydrating.
     ///
     /// # Errors
     /// [`StoreError::UnknownSession`] when the id is not registered.

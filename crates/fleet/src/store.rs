@@ -36,7 +36,7 @@
 
 use crate::session::{FleetReply, ModelKey, SessionId};
 use magneto_core::incremental::ModelState;
-use magneto_core::storage::{load_framed_versioned, save_framed_versioned};
+use magneto_core::storage::{load_framed, save_framed};
 use magneto_core::{
     self_accuracy, stage_rows, BatchEmbedder, CoreError, EdgeBundle, HealingLoop, InferenceView,
     LabelRegistry, ModelVersion, NcmClassifier, PersonalDelta, Precision, ResidentModel,
@@ -168,9 +168,9 @@ pub struct SharedBase {
     pub(crate) model: magneto_core::ResidentModel,
     pub(crate) registry: LabelRegistry,
     pub(crate) ncm: NcmClassifier,
-    /// The bundle's model version (v0 for legacy bundles). Deltas
-    /// calibrated on this base are pinned to it, and spool frames carry
-    /// it so a rehydration validates it still matches.
+    /// The bundle's model version. Deltas calibrated on this base are
+    /// pinned to it, and spool frames carry it so a rehydration
+    /// validates it still matches.
     pub(crate) version: ModelVersion,
 }
 
@@ -361,7 +361,8 @@ pub(crate) enum ColdStore {
     /// failed): still evicted from the hot tier, bytes kept verbatim.
     Memory(Vec<u8>),
     /// On disk via the crash-safe framed-storage path
-    /// (`magneto_core::storage::save_framed`).
+    /// (`magneto_core::storage::save_framed`), stamped with the base
+    /// version.
     Disk(std::path::PathBuf),
 }
 
@@ -583,11 +584,11 @@ impl SessionStore {
         let bytes = match &pd.store {
             ColdStore::Memory(bytes) => bytes.clone(),
             ColdStore::Disk(path) => {
-                let (bytes, frame_version) = load_framed_versioned(path)?;
-                // A versioned spool frame must still match the base it
-                // will rehydrate against; a mismatch means the spool
-                // file belongs to a different base generation.
-                if !frame_version.is_legacy() && frame_version != pd.base.version {
+                let (bytes, frame_version) = load_framed(path)?;
+                // The spool frame must still match the base it will
+                // rehydrate against; a mismatch means the spool file
+                // belongs to a different base generation.
+                if frame_version != pd.base.version {
                     return Err(StoreError::Storage(format!(
                         "spool frame for {} is pinned to {frame_version} but the base is {}",
                         SessionId(id),
@@ -631,8 +632,8 @@ impl SessionStore {
                 let path = dir.join(format!("session-{id}.delta"));
                 // Stamp the spool frame with the base version so the
                 // on-disk artefact is self-describing and rehydration
-                // can validate it (legacy v0 keeps the legacy frame).
-                match save_framed_versioned(&bytes, base.version, &path) {
+                // can validate it.
+                match save_framed(&bytes, base.version, &path) {
                     Ok(()) => ColdStore::Disk(path),
                     Err(_) => ColdStore::Memory(bytes),
                 }
@@ -761,7 +762,7 @@ impl SessionStore {
             }
             replayed += 1;
         }
-        if !delta.is_empty() && !new_base.version.is_legacy() {
+        if !delta.is_empty() {
             delta.pin_base(new_base.version);
         }
         let candidate = Candidate {
@@ -797,11 +798,8 @@ impl SessionStore {
         delta.set_prototype(label, proto);
         delta.set_support(label, rows.to_vec());
         // Pin the calibration to the base generation it was computed
-        // against, so a future base swap knows what to replay (legacy v0
-        // bases leave the delta unpinned and its bytes unchanged).
-        if !ds.base.version.is_legacy() {
-            delta.pin_base(ds.base.version);
-        }
+        // against, so a future base swap knows what to replay.
+        delta.pin_base(ds.base.version);
         let entry = &self.entries[&id];
         let candidate = Candidate {
             base: Arc::clone(&ds.base),

@@ -5,7 +5,7 @@
 //! predictions.
 
 use magneto_core::{
-    CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, Lineage, ModelVersion,
+    CloudConfig, CloudInitializer, EdgeBundle, EdgeConfig, EdgeDevice, ModelVersion,
     NcmClassifier, PersonalDelta, Precision, Prediction, RollbackReason,
 };
 use magneto_fleet::{
@@ -333,11 +333,11 @@ fn lru_capacity_evicts_coldest_and_resident_bytes_shrink() {
 // Versioned base migration: transactional replay, byte-exact rollback.
 // ---------------------------------------------------------------------
 
-/// The seed bundle stamped as version 1, and its version-2 successor.
-/// Same weights (only the lineage differs), so a committed migration's
+/// The seed bundle (version 1) and its version-2 successor. Same
+/// weights (only the lineage differs), so a committed migration's
 /// replayed prototypes must be bit-identical to a fresh calibration.
 fn versioned_pair() -> (EdgeBundle, EdgeBundle) {
-    let v1 = bundle().clone().with_lineage(Lineage::root(1));
+    let v1 = bundle().clone();
     let v2 = v1.clone().with_lineage(v1.child_lineage());
     (v1, v2)
 }
@@ -696,41 +696,6 @@ fn restore_refuses_a_delta_pinned_to_another_base_version() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-#[test]
-fn migration_onto_a_legacy_base_refuses_a_pinned_delta() {
-    let spool = spool_dir("migrate_pin");
-    let (v1, _) = versioned_pair();
-    let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
-    fleet.set_spool_dir(&spool).unwrap();
-    let key0 = fleet.register_base(bundle(), Precision::F32).unwrap();
-    let key1 = fleet.register_base(&v1, Precision::F32).unwrap();
-    let (id, rx) = fleet.register_from_base(key1, Precision::F32).unwrap();
-    fleet
-        .calibrate_session(id, "user_move", &windows(3, 71))
-        .unwrap();
-    let before = fleet.session_delta(id).unwrap().to_bytes();
-
-    let err = fleet.migrate_session(id, key0, Precision::F32).unwrap_err();
-    assert_eq!(
-        err,
-        StoreError::BaseMismatch {
-            session: id,
-            pinned: ModelVersion(1),
-            base: ModelVersion::LEGACY,
-        }
-    );
-    assert_eq!(fleet.session_delta(id).unwrap().to_bytes(), before);
-    assert_eq!(fleet.session_version(id).unwrap(), ModelVersion(1));
-    assert_eq!(fleet.session_key(id).unwrap(), key1);
-
-    assert!(fleet.page_out(id).unwrap());
-    fleet.submit(id, windows(1, 72).remove(0)).unwrap();
-    fleet.pump();
-    recv_ok(&rx);
-    fleet.shutdown();
-    let _ = std::fs::remove_dir_all(&spool);
-}
-
 // ---------------------------------------------------------------------
 // A corrupt spool file costs its own session an error reply, never a
 // panic, and its shard-mates keep serving bit-identically.
@@ -741,6 +706,7 @@ fn corrupt_spool_file_fails_only_its_own_session() {
     let spool = spool_dir("corrupt_spool");
     let mut fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
     fleet.set_spool_dir(&spool).unwrap();
+    let base = bundle().version();
     let key = fleet.register_base(bundle(), Precision::F32).unwrap();
     let (victim, victim_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
     let (bystander, bystander_rx) = fleet.register_from_base(key, Precision::F32).unwrap();
@@ -754,33 +720,79 @@ fn corrupt_spool_file_fails_only_its_own_session() {
     let probes = windows(3, 83);
     let before = drain_replies(&mut fleet, bystander, &bystander_rx, &probes);
     let path = spool.join(format!("session-{}.delta", victim.0));
-    let corruptions: [fn(&std::path::Path); 2] = [
-        // A flipped byte: the frame checksum no longer matches.
-        |path| {
-            let mut bytes = std::fs::read(path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            std::fs::write(path, bytes).unwrap();
-        },
-        // A well-formed frame around bytes that are not a delta.
-        |path| magneto_core::storage::save_framed(b"{\"prototypes\":", path).unwrap(),
-    ];
-    for corrupt in corruptions {
-        // The victim stays paged after a failed rehydration.
-        fleet.page_out(victim).unwrap();
-        assert!(fleet.page_out(bystander).unwrap());
-        corrupt(&path);
+    // The victim's real spool frame: 12 bytes of frame header, the
+    // 4-byte version stamp, then the delta bytes.
+    assert!(fleet.page_out(victim).unwrap());
+    let frame = std::fs::read(&path).unwrap();
+    let payload = frame[16..].to_vec();
+    assert_eq!(PersonalDelta::from_bytes(&payload).unwrap().base_version(), Some(base));
 
+    // Write `bytes` as the paged victim's spool file, submit one window
+    // and return whether the victim served it. The victim stays paged
+    // after a failed rehydration and is paged out again after a served
+    // one.
+    let serve_victim = |fleet: &mut Fleet, write: &dyn Fn(&std::path::Path)| -> bool {
+        fleet.page_out(victim).unwrap();
+        write(&path);
         fleet.submit(victim, probes[0].clone()).unwrap();
         fleet.pump();
         let reply = victim_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(reply.outcome.is_err(), "corrupt delta served: {reply:?}");
-
-        let after = drain_replies(&mut fleet, bystander, &bystander_rx, &probes);
+        reply.outcome.is_ok()
+    };
+    let check_bystander = |fleet: &mut Fleet| {
+        assert!(fleet.page_out(bystander).unwrap());
+        let after = drain_replies(fleet, bystander, &bystander_rx, &probes);
         for (a, b) in before.iter().zip(&after) {
             assert_bit_identical(a, b);
         }
+    };
+
+    // A flipped byte: the frame checksum no longer matches.
+    let mut flipped = frame.clone();
+    flipped[frame.len() / 2] ^= 0x40;
+    assert!(!serve_victim(&mut fleet, &|p| std::fs::write(p, &flipped).unwrap()));
+    check_bystander(&mut fleet);
+
+    // A well-formed frame around bytes that are not a delta.
+    let not_a_delta = |p: &std::path::Path| {
+        magneto_core::storage::save_framed(b"{\"prototypes\":", base, p).unwrap();
+    };
+    assert!(!serve_victim(&mut fleet, &not_a_delta));
+    check_bystander(&mut fleet);
+
+    // The real frame truncated at every prefix.
+    for cut in 0..frame.len() {
+        let served = serve_victim(&mut fleet, &|p| std::fs::write(p, &frame[..cut]).unwrap());
+        assert!(!served, "prefix {cut}/{} served", frame.len());
     }
+    check_bystander(&mut fleet);
+
+    // Seeded payload byte flips under a valid checksum, so each reaches
+    // the delta decoder. A flip that still decodes to a delta on this
+    // base may serve; every other one is an error reply.
+    let mut rng = magneto_tensor::SeededRng::new(84);
+    for _ in 0..256 {
+        let mut bad = payload.clone();
+        let pos = (rng.next_u64() as usize) % bad.len();
+        bad[pos] ^= 1 << (rng.next_u64() % 8);
+        let decodes = PersonalDelta::from_bytes(&bad)
+            .is_ok_and(|d| d.base_version().is_none_or(|v| v == base));
+        let served = serve_victim(&mut fleet, &|p| {
+            magneto_core::storage::save_framed(&bad, base, p).unwrap();
+        });
+        assert!(!served || decodes, "undecodable delta served (flip at {pos})");
+    }
+    check_bystander(&mut fleet);
+
+    // The intact delta in a frame stamped with another version.
+    let restamped = |p: &std::path::Path| {
+        magneto_core::storage::save_framed(&payload, base.next(), p).unwrap();
+    };
+    assert!(!serve_victim(&mut fleet, &restamped));
+    check_bystander(&mut fleet);
+
+    // The intact frame still serves.
+    assert!(serve_victim(&mut fleet, &|p| std::fs::write(p, &frame).unwrap()));
     assert_eq!(fleet.shard_stats()[0].panics_caught, 0);
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&spool);

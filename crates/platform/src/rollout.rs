@@ -21,6 +21,7 @@
 //! budget (5 MB).
 
 use crate::fleet::FleetAccounting;
+use magneto_core::bundle::WireImage;
 use magneto_core::privacy::PrivacyLedger;
 use magneto_core::{CoreError, EdgeBundle, Fnv64, ModelVersion, Precision};
 use magneto_fleet::{Fleet, FleetReply, SessionId, StoreError};
@@ -47,9 +48,9 @@ enum DiffOp {
 
 /// A section-level delta between two bundle wire images.
 ///
-/// The bundle wire format is a 9-byte header followed by length-prefixed
-/// sections (pipeline, model, support envelope, registry — plus the
-/// lineage section on versioned bundles). A retrain that only touches
+/// The bundle wire format is a 9-byte header followed by five
+/// length-prefixed sections (lineage, pipeline, model, support envelope,
+/// registry), split by [`WireImage::parse`]. A retrain that only touches
 /// the classifier re-ships only the sections that changed; unchanged
 /// megabytes of backbone weights are referenced, not re-sent. Both
 /// endpoints are pinned by FNV-1a content hashes, so a diff can neither
@@ -69,50 +70,21 @@ fn fnv(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Split a bundle wire image into its 9-byte header and length-prefixed
-/// sections.
-fn split_sections(bytes: &[u8]) -> Result<(&[u8], Vec<&[u8]>), CoreError> {
-    if bytes.len() < 9 || &bytes[..4] != b"MGBD" {
-        return Err(CoreError::InvalidBundle(
-            "diff endpoint is not a bundle wire image".into(),
-        ));
-    }
-    let (header, mut rest) = bytes.split_at(9);
-    let mut sections = Vec::new();
-    while !rest.is_empty() {
-        if rest.len() < 4 {
-            return Err(CoreError::InvalidBundle(
-                "truncated section length in bundle wire image".into(),
-            ));
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        rest = &rest[4..];
-        if rest.len() < len {
-            return Err(CoreError::InvalidBundle(
-                "truncated section in bundle wire image".into(),
-            ));
-        }
-        let (section, tail) = rest.split_at(len);
-        sections.push(section);
-        rest = tail;
-    }
-    Ok((header, sections))
-}
-
 impl BundleDiff {
     /// Compute the diff that turns `base` wire bytes into `target` wire
     /// bytes. Sections are matched by content: a target section
     /// identical to *any* base section becomes a [`DiffOp::Keep`]
-    /// reference, so inserting a lineage section or reordering does not
+    /// reference, so a lineage-only release or a reordering does not
     /// force a re-send of the backbone.
     ///
     /// # Errors
     /// [`CoreError::InvalidBundle`] when either image is not a framed
     /// bundle.
     pub fn between(base: &[u8], target: &[u8]) -> Result<BundleDiff, CoreError> {
-        let (_, base_sections) = split_sections(base)?;
-        let (target_header, target_sections) = split_sections(target)?;
-        let ops = target_sections
+        let base_sections = WireImage::parse(base)?.sections;
+        let target_wire = WireImage::parse(target)?;
+        let ops = target_wire
+            .sections
             .iter()
             .map(|t| {
                 match base_sections.iter().position(|b| b == t) {
@@ -124,7 +96,7 @@ impl BundleDiff {
         Ok(BundleDiff {
             base_hash: fnv(base),
             target_hash: fnv(target),
-            header: target_header.to_vec(),
+            header: target_wire.header.to_vec(),
             ops,
         })
     }
@@ -144,18 +116,19 @@ impl BundleDiff {
                 fnv(base)
             )));
         }
-        let (_, base_sections) = split_sections(base)?;
-        let mut out = self.header.clone();
-        for op in &self.ops {
-            let section: &[u8] = match op {
+        let base_sections = WireImage::parse(base)?.sections;
+        let sections = self
+            .ops
+            .iter()
+            .map(|op| match op {
                 DiffOp::Keep(i) => base_sections.get(*i as usize).copied().ok_or_else(|| {
                     CoreError::InvalidBundle(format!("diff references missing base section {i}"))
-                })?,
-                DiffOp::Replace(bytes) => bytes,
-            };
-            out.extend_from_slice(&(section.len() as u32).to_le_bytes());
-            out.extend_from_slice(section);
-        }
+                }),
+                DiffOp::Replace(bytes) => Ok(bytes.as_slice()),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut out = Vec::new();
+        WireImage::write(&self.header, sections, &mut out).expect("writing to a Vec cannot fail");
         if fnv(&out) != self.target_hash {
             return Err(CoreError::InvalidBundle(
                 "diff application did not reproduce the target bundle".into(),
@@ -439,12 +412,8 @@ impl Rollout {
 
         // 1. Version succession: the target must prove it descends from
         //    the base the fleet is serving.
-        let lineage = target.lineage.ok_or_else(|| {
-            RolloutError::Lineage(CoreError::InvalidBundle(
-                "target bundle carries no lineage".into(),
-            ))
-        })?;
-        lineage
+        target
+            .lineage
             .validate_succession(base.version(), base.content_hash())
             .map_err(RolloutError::Lineage)?;
 
@@ -465,7 +434,7 @@ impl Rollout {
                 description: format!(
                     "version diff {} → {} exceeds the downlink budget",
                     base.version(),
-                    lineage.version
+                    target.version()
                 ),
                 bytes: diff_bytes,
             }));
@@ -483,7 +452,7 @@ impl Rollout {
         // 4. Staged migration.
         let mut report = RolloutReport {
             from_version: base.version(),
-            to_version: lineage.version,
+            to_version: target.version(),
             full_bundle_bytes: target_bytes.len(),
             diff_bytes,
             baseline_accuracy,
@@ -663,23 +632,21 @@ mod tests {
         }
     }
 
-    /// A fake two-section wire image with the bundle magic.
-    fn fake_bundle(sections: &[&[u8]]) -> Vec<u8> {
-        let mut out = b"MGBD".to_vec();
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.push(0);
-        for s in sections {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s);
-        }
+    /// A wire image with the bundle header and five opaque sections.
+    fn fake_bundle(sections: [&[u8]; WireImage::SECTIONS]) -> Vec<u8> {
+        let mut header = b"MGBD".to_vec();
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.push(0);
+        let mut out = Vec::new();
+        WireImage::write(&header, sections, &mut out).unwrap();
         out
     }
 
     #[test]
     fn diff_reuses_unchanged_sections() {
         let big = vec![7u8; 10_000];
-        let base = fake_bundle(&[&big, b"registry-v1"]);
-        let target = fake_bundle(&[&big, b"registry-v2-with-more"]);
+        let base = fake_bundle([b"v1", b"pipeline", &big, b"support", b"registry-v1"]);
+        let target = fake_bundle([b"v2", b"pipeline", &big, b"support", b"registry-v2-more"]);
         let diff = BundleDiff::between(&base, &target).unwrap();
         // The 10 KB section travels as a 5-byte reference.
         assert!(
@@ -692,17 +659,22 @@ mod tests {
 
     #[test]
     fn diff_rejects_wrong_base_and_detects_corruption() {
-        let base = fake_bundle(&[b"aaa", b"bbb"]);
-        let target = fake_bundle(&[b"aaa", b"ccc"]);
+        let base = fake_bundle([b"v1", b"p", b"aaa", b"s", b"bbb"]);
+        let target = fake_bundle([b"v1", b"p", b"aaa", b"s", b"ccc"]);
         let diff = BundleDiff::between(&base, &target).unwrap();
         // Wrong base: hash gate refuses before patching.
-        let other = fake_bundle(&[b"xxx", b"bbb"]);
+        let other = fake_bundle([b"v1", b"p", b"xxx", b"s", b"bbb"]);
         assert!(diff.apply(&other).is_err());
         // Identity diff still round-trips.
         let id = BundleDiff::between(&base, &base).unwrap();
         assert_eq!(id.apply(&base).unwrap(), base);
-        // Non-bundle input is rejected structurally.
+        // Non-bundle input is rejected structurally, and so is a
+        // pre-lineage (wire version 1) image.
         assert!(BundleDiff::between(b"nope", &target).is_err());
+        let mut v1 = base.clone();
+        v1[4] = 1;
+        assert!(BundleDiff::between(&v1, &target).is_err());
+        assert!(BundleDiff::between(&base, &v1).is_err());
     }
 
     proptest! {
@@ -719,8 +691,8 @@ mod tests {
             cut in any::<u64>(),
             keep in any::<u32>(),
         ) {
-            let base = fake_bundle(&[b"pipeline", &[7u8; 300], b"registry-v1"]);
-            let target = fake_bundle(&[b"pipeline", &[7u8; 300], b"registry-v2", b"lineage"]);
+            let base = fake_bundle([b"v1", b"pipeline", &[7u8; 300], b"support", b"registry-v1"]);
+            let target = fake_bundle([b"v2", b"pipeline", &[7u8; 300], b"support", b"registry-v2"]);
             let diff = BundleDiff::between(&base, &target).unwrap();
             prop_assert_eq!(diff.apply(&base).unwrap(), target);
             let at = |len: usize| (pos % len as u64) as usize;

@@ -18,16 +18,16 @@ use proptest::prelude::*;
 use std::sync::mpsc::Receiver;
 use std::sync::OnceLock;
 
-/// The fleet's current base: the seed bundle stamped as version 1.
+/// The fleet's current base: the pretrained seed bundle, version 1.
 fn bundle_v1() -> &'static EdgeBundle {
     static BUNDLE: OnceLock<EdgeBundle> = OnceLock::new();
     BUNDLE.get_or_init(|| {
         let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 1);
-        CloudInitializer::new(CloudConfig::fast_demo())
+        let (bundle, _) = CloudInitializer::new(CloudConfig::fast_demo())
             .pretrain(&corpus)
-            .unwrap()
-            .0
-            .with_lineage(Lineage::root(1))
+            .unwrap();
+        assert_eq!(bundle.version(), ModelVersion(1));
+        bundle
     })
 }
 
@@ -220,15 +220,14 @@ fn lineage_violations_are_rejected_before_any_shipping() {
     let mut ledger = PrivacyLedger::edge_only();
     let rollout = Rollout::new(RolloutConfig::default()).unwrap();
 
-    // No lineage at all.
-    let unversioned = {
-        let mut b = bundle_v1().clone();
-        b.lineage = None;
-        b
-    };
+    // A "successor" that does not advance the version.
+    let stale = bundle_v1().clone().with_lineage(Lineage {
+        version: ModelVersion(1),
+        parent: Some(bundle_v1().content_hash()),
+    });
     // A "successor" claiming to be a root.
     let fake_root = bundle_v1().clone().with_lineage(Lineage::root(9));
-    for bad in [unversioned, fake_root] {
+    for bad in [stale, fake_root] {
         let err = rollout
             .run(
                 &mut fleet,

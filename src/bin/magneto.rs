@@ -191,12 +191,9 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
     let bundle = load_bundle(&path).map_err(|e| e.to_string())?;
     let sizes = bundle.size_report(false);
     println!("bundle {}", path.display());
-    let version = match &bundle.lineage {
-        None => format!("{} (legacy, unversioned)", bundle.version()),
-        Some(l) => match l.parent {
-            None => format!("{} (root)", bundle.version()),
-            Some(hash) => format!("{} (parent {hash:016x})", bundle.version()),
-        },
+    let version = match bundle.lineage.parent {
+        None => format!("{} (root)", bundle.version()),
+        Some(hash) => format!("{} (parent {hash:016x})", bundle.version()),
     };
     println!("  version        : {version}");
     println!("  classes        : {:?}", bundle.registry.labels());

@@ -59,6 +59,7 @@ fn full_cli_lifecycle() {
     assert!(ok, "inspect failed:\n{text}");
     assert!(text.contains("drive") && text.contains("walk"), "{text}");
     assert!(text.contains("support set"), "{text}");
+    assert!(text.contains("version        : v1 (root)"), "{text}");
 
     // infer a known activity
     let (ok, text) = run(magneto()
@@ -108,6 +109,21 @@ fn cli_rejects_bad_usage() {
     let (ok, text) = run(magneto().args(["inspect", "/nonexistent/x.mag"]));
     assert!(!ok);
     assert!(text.contains("error"), "{text}");
+
+    // Inspecting a file in the pre-versioning `MGST` storage frame: a
+    // clean refusal, not a panic.
+    let old = temp_bundle("mgst");
+    let payload = b"MGBD\x01\x00\x00\x00\x00";
+    let mut frame = "MGST".as_bytes().to_vec();
+    frame.extend_from_slice(&magneto::core::storage::crc32(payload).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    std::fs::write(&old, frame).unwrap();
+    let (ok, text) = run(magneto().arg("inspect").arg(&old));
+    assert!(!ok);
+    assert!(text.contains("error") && text.contains("not a MAGNETO storage file"), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+    std::fs::remove_dir_all(old.parent().unwrap()).ok();
 
     // Unknown activity name.
     let bundle = temp_bundle("badusage");
