@@ -58,6 +58,15 @@ pub struct PersonalDelta {
     /// delta depends on no base. Skipped when unset.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     base_version: Option<ModelVersion>,
+    /// Content hash ([`EdgeBundle::content_hash`]) of that base, set
+    /// together with `base_version`. Versions alone collide — the
+    /// cloud's next release and a device retrained on-device are both
+    /// a child of the same parent — content does not. Skipped when
+    /// unset.
+    ///
+    /// [`EdgeBundle::content_hash`]: crate::EdgeBundle::content_hash
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    base_hash: Option<u64>,
 }
 
 /// Undo record returned by [`PersonalDelta::apply`]: everything needed
@@ -136,16 +145,22 @@ impl PersonalDelta {
         self.threshold
     }
 
-    /// Pin this delta to the base-model version it was calibrated
-    /// against.
-    pub fn pin_base(&mut self, version: ModelVersion) {
+    /// Pin this delta to the base it was calibrated against: that
+    /// base's version and the content hash of its bundle.
+    pub fn pin_base(&mut self, version: ModelVersion, content_hash: u64) {
         self.base_version = Some(version);
+        self.base_hash = Some(content_hash);
     }
 
     /// The base version this delta is pinned to, if any. `None` means
     /// no calibration has pinned it yet, so it applies to any base.
     pub fn base_version(&self) -> Option<ModelVersion> {
         self.base_version
+    }
+
+    /// The content hash of the base this delta is pinned to, if any.
+    pub fn base_hash(&self) -> Option<u64> {
+        self.base_hash
     }
 
     /// Approximate bytes this delta holds resident (payload floats plus
@@ -332,6 +347,7 @@ mod tests {
         delta.set_margin(0.5);
         let json = String::from_utf8(delta.to_bytes()).unwrap();
         assert!(!json.contains("base_version"), "{json}");
+        assert!(!json.contains("base_hash"), "{json}");
         let back = PersonalDelta::from_bytes(delta.to_bytes().as_slice()).unwrap();
         assert_eq!(back.base_version(), None);
         assert_eq!(back.to_bytes(), delta.to_bytes());
@@ -341,9 +357,10 @@ mod tests {
     fn pinned_delta_roundtrips_its_base_version() {
         let mut delta = PersonalDelta::new();
         delta.set_prototype("walk", vec![1.0, 2.0]);
-        delta.pin_base(ModelVersion(3));
+        delta.pin_base(ModelVersion(3), 0xdead_beef_cafe_f00d);
         let back = PersonalDelta::from_bytes(&delta.to_bytes()).unwrap();
         assert_eq!(back.base_version(), Some(ModelVersion(3)));
+        assert_eq!(back.base_hash(), Some(0xdead_beef_cafe_f00d));
         assert_eq!(back.to_bytes(), delta.to_bytes());
     }
 
@@ -355,7 +372,7 @@ mod tests {
         delta.set_support("walk", vec![vec![1.0e-30, 2.5], vec![0.3, 0.7]]);
         delta.set_margin(1.125);
         delta.set_threshold(0.004_217);
-        delta.pin_base(ModelVersion(2));
+        delta.pin_base(ModelVersion(2), 0x0123_4567_89ab_cdef);
         delta.to_bytes()
     }
 

@@ -382,15 +382,27 @@ impl EdgeDevice {
     }
 
     /// One transactional update with the device's config and RNG.
+    ///
+    /// A committed new activity retrains the backbone the device
+    /// serves, so the device's lineage steps to a child of the bundle it
+    /// replaces (next version, that bundle's content hash as parent): a
+    /// delta pinned to the old version no longer matches the device's
+    /// bundle. Calibrations and rolled-back updates keep the lineage.
     fn update(
         &mut self,
         label: &str,
         features: &[Vec<f32>],
         mode: UpdateMode,
     ) -> Result<UpdateOutcome> {
+        let child = (mode == UpdateMode::NewActivity).then(|| self.as_bundle().child_lineage());
         let config = self.config.incremental;
-        self.state
-            .update_transactional(label, features, mode, &config, &mut self.rng)
+        let outcome = self
+            .state
+            .update_transactional(label, features, mode, &config, &mut self.rng)?;
+        if let Some(child) = child.filter(|_| outcome.is_committed()) {
+            self.lineage = child;
+        }
+        Ok(outcome)
     }
 
     fn featurize_recording(&self, recording: &SensorDataset) -> Result<Vec<Vec<f32>>> {
@@ -442,14 +454,7 @@ impl EdgeDevice {
                 self.pipeline.output_dim()
             )));
         }
-        let config = self.config.incremental;
-        self.state.update_transactional(
-            &pack.label,
-            &pack.exemplars,
-            UpdateMode::NewActivity,
-            &config,
-            &mut self.rng,
-        )
+        self.update(&pack.label, &pack.exemplars, UpdateMode::NewActivity)
     }
 
     /// Attempt to sync user data to the Cloud. Always fails on a MAGNETO
@@ -663,6 +668,43 @@ mod tests {
         assert_eq!(device.classes().len(), 6);
         // Privacy invariant still holds after learning.
         device.privacy_ledger().assert_no_uplink();
+    }
+
+    #[test]
+    fn committed_new_activity_steps_the_lineage_and_calibration_keeps_it() {
+        let mut device = deployed_device(5);
+        let deployed = device.as_bundle();
+        let recording = SensorDataset::record_session(
+            "gesture_hi",
+            ActivityKind::GestureHi,
+            PersonProfile::nominal(),
+            25.0,
+            6,
+        );
+        device
+            .learn_new_activity("gesture_hi", &recording)
+            .unwrap()
+            .committed()
+            .unwrap();
+        assert_eq!(device.model_version(), deployed.version().next());
+        let learned = device.as_bundle().lineage;
+        learned
+            .validate_succession(deployed.version(), deployed.content_hash())
+            .unwrap();
+
+        let walk = SensorDataset::record_session(
+            "walk",
+            ActivityKind::Walk,
+            PersonProfile::nominal(),
+            20.0,
+            11,
+        );
+        device
+            .calibrate_activity("walk", &walk)
+            .unwrap()
+            .committed()
+            .unwrap();
+        assert_eq!(device.as_bundle().lineage, learned);
     }
 
     #[test]

@@ -219,7 +219,8 @@ impl Fleet {
         precision: Precision,
     ) -> Result<(SessionId, Receiver<FleetReply>), StoreError> {
         let base = SharedBase::from_bundle(bundle, precision, DistanceMetric::default())?;
-        Ok(self.register_entry(Arc::new(base), ModelKey::of_bundle(bundle), precision))
+        let key = ModelKey(base.content_hash);
+        Ok(self.register_entry(Arc::new(base), key, precision))
     }
 
     /// Register a shared immutable base assembled from `bundle` at

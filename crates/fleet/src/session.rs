@@ -37,43 +37,9 @@ impl ModelKey {
     }
 
     /// Derive a shared key from the bundle a session was deployed from:
-    /// FNV-1a over the full-precision wire bytes, streamed section by
-    /// section through a digest writer — no full serialized copy of the
-    /// bundle is ever allocated just to be hashed.
+    /// its [`EdgeBundle::content_hash`], the same identity a delta pins.
     pub fn of_bundle(bundle: &EdgeBundle) -> Self {
-        let mut digest = FnvWriter::new();
-        bundle
-            .write_wire(false, &mut digest)
-            .expect("digest sink never fails");
-        ModelKey(digest.finish())
-    }
-}
-
-/// An FNV-1a digest behind `io::Write`, so byte producers that stream
-/// (like [`EdgeBundle::write_wire`]) can be hashed chunk by chunk.
-struct FnvWriter(u64);
-
-impl FnvWriter {
-    fn new() -> Self {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl std::io::Write for FnvWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        for &b in buf {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
+        ModelKey(bundle.content_hash())
     }
 }
 

@@ -61,9 +61,10 @@ pub enum StoreError {
     UnknownSession(SessionId),
     /// No base is registered under this `(key, precision)`.
     UnknownBase(ModelKey, Precision),
-    /// A delta pinned to one base version met a base of another: its
-    /// prototypes live in a different embedding space, so it can
-    /// neither be committed onto nor rehydrated against that base.
+    /// A delta pinned to one base met another — another version, or
+    /// the same version with other content: its prototypes live in a
+    /// different embedding space, so it can neither be committed onto
+    /// nor rehydrated against that base.
     BaseMismatch {
         /// The session the delta belongs to.
         session: SessionId,
@@ -84,6 +85,14 @@ impl fmt::Display for StoreError {
             StoreError::UnknownBase(key, precision) => {
                 write!(f, "no shared base registered for {key:?} at {precision:?}")
             }
+            StoreError::BaseMismatch {
+                session,
+                pinned,
+                base,
+            } if pinned == base => write!(
+                f,
+                "delta for {session} is calibrated against another {base} base (its content differs)"
+            ),
             StoreError::BaseMismatch {
                 session,
                 pinned,
@@ -172,6 +181,9 @@ pub struct SharedBase {
     /// pinned to it, and spool frames carry it so a rehydration
     /// validates it still matches.
     pub(crate) version: ModelVersion,
+    /// The bundle's content hash, pinned beside the version: two bases
+    /// of one version can hold different weights.
+    pub(crate) content_hash: u64,
 }
 
 impl SharedBase {
@@ -185,7 +197,7 @@ impl SharedBase {
         precision: Precision,
         metric: DistanceMetric,
     ) -> magneto_core::Result<Self> {
-        let version = bundle.version();
+        let (version, content_hash) = (bundle.version(), bundle.content_hash());
         let (state, pipeline, _) = ModelState::from_bundle(bundle.clone(), precision, metric)?;
         Ok(SharedBase {
             pipeline,
@@ -193,6 +205,7 @@ impl SharedBase {
             registry: state.registry,
             ncm: state.ncm,
             version,
+            content_hash,
         })
     }
 
@@ -287,14 +300,17 @@ impl DeltaSession {
     }
 }
 
-/// Refuse a delta pinned to a base version other than `base`'s.
+/// Refuse a delta pinned to a base other than `base`: another version,
+/// or the same version with other content.
 fn check_pin(id: u64, delta: &PersonalDelta, base: &SharedBase) -> Result<(), StoreError> {
     match delta.base_version() {
-        Some(pinned) if pinned != base.version => Err(StoreError::BaseMismatch {
-            session: SessionId(id),
-            pinned,
-            base: base.version,
-        }),
+        Some(pinned) if pinned != base.version || delta.base_hash() != Some(base.content_hash) => {
+            Err(StoreError::BaseMismatch {
+                session: SessionId(id),
+                pinned,
+                base: base.version,
+            })
+        }
         _ => Ok(()),
     }
 }
@@ -763,7 +779,7 @@ impl SessionStore {
             replayed += 1;
         }
         if !delta.is_empty() {
-            delta.pin_base(new_base.version);
+            delta.pin_base(new_base.version, new_base.content_hash);
         }
         let candidate = Candidate {
             base: Arc::clone(new_base),
@@ -799,7 +815,7 @@ impl SessionStore {
         delta.set_support(label, rows.to_vec());
         // Pin the calibration to the base generation it was computed
         // against, so a future base swap knows what to replay.
-        delta.pin_base(ds.base.version);
+        delta.pin_base(ds.base.version, ds.base.content_hash);
         let entry = &self.entries[&id];
         let candidate = Candidate {
             base: Arc::clone(&ds.base),

@@ -419,7 +419,7 @@ fn failed_migration_rolls_back_byte_exactly() {
         .len();
     let mut orphan = PersonalDelta::new();
     orphan.set_prototype("ghost", vec![0.5; dim]);
-    orphan.pin_base(ModelVersion(1));
+    orphan.pin_base(ModelVersion(1), v1.content_hash());
     fleet
         .restore_session(id, key1, Precision::F32, orphan)
         .unwrap();
@@ -694,6 +694,84 @@ fn restore_refuses_a_delta_pinned_to_another_base_version() {
     recv_ok(&rx);
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A device that learns a new activity serves a new backbone, so its
+/// bundle is v2, a child of the cloud v1 — and so is the cloud's own
+/// next release, with other weights. A delta is pinned to its base's
+/// content as well as its version: a delta calibrated on the cloud v1
+/// is refused on a base registered from the retrained device's bundle,
+/// and so is one calibrated on the cloud v2, in both directions.
+#[test]
+fn retrained_device_base_refuses_deltas_pinned_to_cloud_bases() {
+    use magneto_sensors::PersonProfile;
+    let (cloud_v1, cloud_v2) = versioned_pair();
+    let mut device = EdgeDevice::deploy(cloud_v1.clone(), EdgeConfig::default()).unwrap();
+    let recording = SensorDataset::record_session(
+        "gesture_hi",
+        ActivityKind::GestureHi,
+        PersonProfile::nominal(),
+        25.0,
+        6,
+    );
+    device
+        .learn_new_activity("gesture_hi", &recording)
+        .unwrap()
+        .committed()
+        .unwrap();
+    let retrained = device.as_bundle();
+    assert_eq!(retrained.version(), ModelVersion(2));
+    retrained
+        .lineage
+        .validate_succession(cloud_v1.version(), cloud_v1.content_hash())
+        .unwrap();
+    assert_eq!(cloud_v2.version(), retrained.version());
+    assert_ne!(cloud_v2.content_hash(), retrained.content_hash());
+
+    let fleet = Fleet::new(FleetConfig::deterministic()).unwrap();
+    let calibrated_on = |bundle: &EdgeBundle, seed| {
+        let key = fleet.register_base(bundle, Precision::F32).unwrap();
+        let (donor, _rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+        fleet
+            .calibrate_session(donor, "user_move", &windows(3, seed))
+            .unwrap();
+        let delta = fleet.session_delta(donor).unwrap();
+        assert_eq!(delta.base_version(), Some(bundle.version()));
+        assert_eq!(delta.base_hash(), Some(bundle.content_hash()));
+        delta
+    };
+    let pinned_v1 = calibrated_on(&cloud_v1, 71);
+    let pinned_cloud_v2 = calibrated_on(&cloud_v2, 72);
+    let pinned_device_v2 = calibrated_on(&retrained, 73);
+
+    let restore = |bundle: &EdgeBundle, delta: &PersonalDelta| {
+        let key = fleet.register_base(bundle, Precision::F32).unwrap();
+        let (id, _rx) = fleet.register_from_base(key, Precision::F32).unwrap();
+        assert_eq!(fleet.session_version(id).unwrap(), bundle.version());
+        (id, fleet.restore_session(id, key, Precision::F32, delta.clone()))
+    };
+    let mismatch = |id, pinned: u32, base: u32| StoreError::BaseMismatch {
+        session: id,
+        pinned: ModelVersion(pinned),
+        base: ModelVersion(base),
+    };
+    let (id, res) = restore(&retrained, &pinned_v1);
+    assert_eq!(res.unwrap_err(), mismatch(id, 1, 2));
+    let (id, res) = restore(&retrained, &pinned_cloud_v2);
+    let err = res.unwrap_err();
+    assert_eq!(err, mismatch(id, 2, 2));
+    assert!(err.to_string().contains("content differs"), "{err}");
+    let (id, res) = restore(&cloud_v2, &pinned_device_v2);
+    assert_eq!(res.unwrap_err(), mismatch(id, 2, 2));
+    // Each delta still restores onto a base of its own content.
+    for (bundle, delta) in [
+        (&cloud_v1, &pinned_v1),
+        (&cloud_v2, &pinned_cloud_v2),
+        (&retrained, &pinned_device_v2),
+    ] {
+        restore(bundle, delta).1.unwrap();
+    }
+    fleet.shutdown();
 }
 
 // ---------------------------------------------------------------------

@@ -238,7 +238,7 @@ impl QuantizedMlp {
             });
             buf.put_u32_le(l.weights.rows() as u32);
             buf.put_u32_le(l.weights.cols() as u32);
-            for &q in l.weights.data() {
+            for q in l.weights.row_major() {
                 buf.put_i8(q);
             }
             magneto_tensor::serialize::encode_f32_vec(l.weights.scales(), &mut buf);
@@ -586,5 +586,25 @@ mod tests {
         let mut ws = Workspace::new();
         q.embed_into(&x, &mut out, &mut ws).unwrap();
         assert_eq!(out, e);
+    }
+
+    /// FNV-1a 64-bit digest (the bundle content hash's function).
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The `MGQ2` bytes of a seeded quantised paper backbone are pinned
+    /// to a golden digest, so the in-memory weight layout the int8 GEMM
+    /// packs can never leak onto the wire.
+    #[test]
+    fn paper_backbone_wire_bytes_are_golden() {
+        let m = Mlp::paper_backbone(&mut SeededRng::new(24)).unwrap();
+        let q = QuantizedMlp::quantize(&m).unwrap();
+        let bytes = q.to_bytes();
+        assert_eq!(bytes.len(), 703_069);
+        assert_eq!(fnv1a64(&bytes), 0xe883_8dce_d4b1_36ad);
+        assert_eq!(QuantizedMlp::from_bytes(&bytes).unwrap(), q);
     }
 }

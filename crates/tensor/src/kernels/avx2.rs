@@ -20,6 +20,7 @@ use std::arch::x86_64::*;
 
 use super::fma;
 use crate::matrix::TILE_ROWS;
+use crate::quant::{QCOLS, QROWS};
 
 /// f32 lanes per 256-bit vector.
 const VL: usize = 8;
@@ -303,3 +304,109 @@ pub(crate) unsafe fn qdot4(q: &[i8], r0: &[i8], r1: &[i8], r2: &[i8], r3: &[i8])
     out
 }
 
+/// AVX2 instance of [`super::scalar::qtile`]: the int8 register tile.
+/// Per k-pair, the block's 32 interleaved weight bytes widen to two i16
+/// vectors (`cvtepi8_epi16`), each row's `(x0, x1)` pair is broadcast as
+/// one i32, and `madd_epi16` forms `x0·w0 + x1·w1` per column in i32
+/// (exact: `|·| ≤ 2·127·128`), added into two accumulators per row.
+/// `maddubs_epi16` would saturate in i16 and is not used. Bit-identical
+/// to scalar (exact integer accumulation).
+///
+/// The k loop is unrolled into independent accumulator sets — two pairs
+/// deep at three rows, three at two, four at one — so every height
+/// keeps eight to twelve accumulators in flight: on hosts with AVX-VNNI
+/// the compiler fuses `madd` + `add` into `vpdpwssd`, whose five-cycle
+/// latency a single chain per accumulator would expose.
+///
+/// # Safety
+/// Requires AVX2 at runtime. `acc` must hold 1 to `QROWS` rows, `kp`
+/// must be even, `x` must hold `acc.len() * kp` values and `block`
+/// `kp * QCOLS` bytes.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn qtile(x: &[i16], kp: usize, block: &[i8], acc: &mut [[i32; QCOLS]]) {
+    debug_assert!(kp.is_multiple_of(2) && x.len() >= acc.len() * kp);
+    debug_assert!(block.len() >= kp * QCOLS);
+    // SAFETY: AVX2 is enabled for this function; the caller upholds the
+    // length contract every instance relies on.
+    unsafe {
+        match acc.len() {
+            1 => qtile_rows::<1, 4>(x, kp, block, acc),
+            2 => qtile_rows::<2, 3>(x, kp, block, acc),
+            _ => qtile_rows::<QROWS, 2>(x, kp, block, acc),
+        }
+    }
+}
+
+/// Widen the 32 interleaved weight bytes of one k-pair at `w` into the
+/// i16 pairs of columns 0–7 and 8–15.
+///
+/// # Safety
+/// Requires AVX2 at runtime; `w` must be valid for a 32-byte read.
+#[target_feature(enable = "avx2")]
+unsafe fn load_pair_block(w: *const i8) -> (__m256i, __m256i) {
+    // SAFETY: caller guarantees 32 readable bytes at `w`.
+    unsafe {
+        (
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(w.cast())),
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(w.add(16).cast())),
+        )
+    }
+}
+
+/// `R` rows × one block, the k loop unrolled `U` pairs deep into `U`
+/// independent accumulator sets (two vectors per row each), summed at
+/// the end (integer addition is exact, so the grouping is free).
+///
+/// # Safety
+/// As [`qtile`], with `acc.len() == R`.
+#[target_feature(enable = "avx2")]
+unsafe fn qtile_rows<const R: usize, const U: usize>(
+    x: &[i16],
+    kp: usize,
+    block: &[i8],
+    acc: &mut [[i32; QCOLS]],
+) {
+    let (xp, wp) = (x.as_ptr(), block.as_ptr());
+    let pairs = kp / 2;
+    let mut lo = [[_mm256_setzero_si256(); R]; U];
+    let mut hi = [[_mm256_setzero_si256(); R]; U];
+    // One k-pair into accumulator set `u`.
+    // SAFETY (for callers): `p < pairs`, so the 32 weight bytes at
+    // `p * 2 * QCOLS` lie within `kp * QCOLS <= block.len()`, and each
+    // row's pair at `r * kp + 2 * p` within `R * kp <= x.len()`.
+    let step = |p: usize, lo: &mut [__m256i; R], hi: &mut [__m256i; R]| {
+        // SAFETY: see above; AVX2 is enabled for the enclosing function.
+        unsafe {
+            let (w_lo, w_hi) = load_pair_block(wp.add(p * 2 * QCOLS));
+            for r in 0..R {
+                let x_pair = xp.add(r * kp + 2 * p).cast::<i32>().read_unaligned();
+                let pair = _mm256_set1_epi32(x_pair);
+                lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(pair, w_lo));
+                hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(pair, w_hi));
+            }
+        }
+    };
+    let mut p = 0;
+    while p + U <= pairs {
+        for u in 0..U {
+            step(p + u, &mut lo[u], &mut hi[u]);
+        }
+        p += U;
+    }
+    while p < pairs {
+        step(p, &mut lo[0], &mut hi[0]);
+        p += 1;
+    }
+    for (r, row) in acc.iter_mut().enumerate() {
+        let (mut l, mut h) = (lo[0][r], hi[0][r]);
+        for u in 1..U {
+            l = _mm256_add_epi32(l, lo[u][r]);
+            h = _mm256_add_epi32(h, hi[u][r]);
+        }
+        // SAFETY: a row is `QCOLS` = 16 i32, two 256-bit stores.
+        unsafe {
+            _mm256_storeu_si256(row.as_mut_ptr().cast(), l);
+            _mm256_storeu_si256(row.as_mut_ptr().add(VL).cast(), h);
+        }
+    }
+}

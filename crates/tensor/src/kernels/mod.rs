@@ -10,10 +10,14 @@
 //! compute pool — so the tile, stage and global levels of the
 //! decomposition map onto three layers of code.
 //!
-//! The int8 GEMM is the exception: its row-streaming kernel
-//! ([`scalar::qstream`]) has no tile to dispatch and no SIMD instance
-//! (see its docs for why), so [`crate::quant`] calls it directly. The
-//! int8 distance kernels (`qdot`, `qdot4`) do dispatch.
+//! The int8 GEMM keeps its global level in [`crate::quant`] too, but it
+//! has no stage: its weights are packed once, when the
+//! [`QuantMatrix`](crate::quant::QuantMatrix) is built, into the
+//! column-block, k-pair-interleaved layout the tile reads, so the
+//! [`qtile_dispatch`] instances stream a block front to back. The AVX2
+//! instance is the `cvtepi8_epi16` + `madd_epi16` register tile; Scalar
+//! and NEON run the portable one. The int8 distance kernels (`qdot`,
+//! `qdot4`) dispatch the same way.
 //!
 //! Stage buffers are thread-locals ping-ponged between consecutive
 //! k-panels (double buffering: the pack of panel `p` writes the buffer
@@ -31,6 +35,7 @@
 use std::cell::RefCell;
 
 use crate::matrix::{PANEL_K, TILE_COLS, TILE_ROWS};
+use crate::quant::{QCOLS, QROWS};
 use crate::tiling::Backend;
 
 pub(crate) mod scalar;
@@ -216,6 +221,33 @@ pub(crate) fn qdot4_dispatch(
         Backend::Neon => neon::qdot4(q, r0, r1, r2, r3),
         #[allow(unreachable_patterns)]
         _ => scalar::qdot4(q, r0, r1, r2, r3),
+    }
+}
+
+/// Dispatch of the int8 register tile: `acc.len()` (1 to
+/// [`QROWS`](crate::quant::QROWS)) activation rows of `x`, each `kp`
+/// long, against one packed weight block. Bit-identical across backends
+/// (exact integer accumulation). NEON has no instance of its own and
+/// runs the portable one.
+#[inline]
+pub(crate) fn qtile_dispatch(
+    backend: Backend,
+    x: &[i16],
+    kp: usize,
+    block: &[i8],
+    acc: &mut [[i32; QCOLS]],
+) {
+    assert!((1..=QROWS).contains(&acc.len()) && kp.is_multiple_of(2));
+    assert!(x.len() >= acc.len() * kp && block.len() >= kp * QCOLS);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            debug_check_available(backend);
+            // SAFETY: sanitized plans guarantee AVX2 at runtime; the
+            // lengths were checked above.
+            unsafe { avx2::qtile(x, kp, block, acc) }
+        }
+        _ => scalar::qtile(x, kp, block, acc),
     }
 }
 

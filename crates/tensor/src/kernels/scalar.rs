@@ -1,7 +1,7 @@
 //! Portable scalar micro-kernels — the always-available [`Backend::Scalar`]
 //! instances and the bit-identity reference for every other backend.
 //!
-//! These bodies are the PR-1 kernels moved behind the backend
+//! The f32 bodies are the original kernels moved behind the backend
 //! dispatch *unchanged*: the
 //! float operation sequence per output element is exactly what
 //! `matrix.rs`/`quant.rs` executed before the refactor (the tiled kernel
@@ -17,6 +17,7 @@
 
 use super::fma;
 use crate::matrix::TILE_ROWS;
+use crate::quant::{QCOLS, QROWS};
 
 /// Accumulator lanes for the dot-product kernels — wide enough for one
 /// 256-bit vector register of `f32`.
@@ -162,46 +163,32 @@ pub(crate) fn tile_2x4(
     out
 }
 
-/// i32 accumulators for one int8 row against all of `w` (row-major
-/// `k × n`): the row-streaming int8 GEMM kernel.
+/// Portable instance of the int8 register tile: `acc[r][j]` receives
+/// `Σ_k x[r·kp + k] · w(k, j)` for the `acc.len()` (1 to
+/// [`QROWS`]) activation rows of `x` — each `kp` long, `kp` even —
+/// against one packed weight block of [`QCOLS`] columns.
 ///
-/// k-outer, n-inner into the `n`-wide accumulator row, two k-rows of
-/// `w` per step, so `w` is read front to back exactly once per row and
-/// every load is unit-stride. A step is skipped when both activations
-/// of the pair are zero (post-ReLU rows are ~50% zeros; adding exact
-/// integer zeros is a no-op, so the skip cannot change results).
-///
-/// A pair's two products are summed in i16 before widening: activations
-/// are quantised to `[-127, 127]` and weights are any `i8`, so
-/// `|x0·w0 + x1·w1| ≤ 2·127·128 = 32512` fits exactly. The compiler
-/// vectorises the i16 multiply under `-C target-cpu=native`. An explicit
-/// AVX2 instance (bytewise interleave of the two k-rows, `cvtepi8_epi16`,
-/// `madd_epi16`) ran at 0.67–0.85× this loop on an AVX-512 Xeon and was
-/// not kept.
-pub(crate) fn qstream(x_row: &[i8], w: &[i8], n: usize, acc: &mut [i32]) {
-    debug_assert!(acc.len() == n && w.len() >= x_row.len() * n);
-    acc.fill(0);
-    let mut x_pairs = x_row.chunks_exact(2);
-    for (xp, wp) in x_pairs.by_ref().zip(w.chunks_exact(2 * n)) {
-        let (x0, x1) = (i16::from(xp[0]), i16::from(xp[1]));
-        if (x0 | x1) == 0 {
-            continue;
-        }
-        let (w0, w1) = wp.split_at(n);
-        for ((a, &b0), &b1) in acc.iter_mut().zip(w0).zip(w1) {
-            *a += i32::from(x0 * i16::from(b0) + x1 * i16::from(b1));
-        }
-    }
-    // Odd `k`: the last k-row streams alone.
-    if let [x] = *x_pairs.remainder() {
-        let x = i16::from(x);
-        if x != 0 {
-            let last = x_row.len() - 1;
-            for (a, &b) in acc.iter_mut().zip(&w[last * n..(last + 1) * n]) {
-                *a += i32::from(x * i16::from(b));
+/// Each k-pair's interleaved weights are split back into their two
+/// k-rows once and shared by the tile's rows, so the inner loop is the
+/// contiguous `x0·w0[c] + x1·w1[c]` the compiler vectorises. A pair's
+/// two products are summed in i16 before widening: activations are
+/// quantised to `[-127, 127]` and weights are any `i8`, so
+/// `|x0·w0 + x1·w1| ≤ 2·127·128 = 32512` fits exactly.
+pub(crate) fn qtile(x: &[i16], kp: usize, block: &[i8], acc: &mut [[i32; QCOLS]]) {
+    debug_assert!(acc.len() <= QROWS && x.len() >= acc.len() * kp && block.len() >= kp * QCOLS);
+    let mut t = [[0i32; QCOLS]; QROWS];
+    let t = &mut t[..acc.len()];
+    for (p, w) in block.chunks_exact(2 * QCOLS).enumerate() {
+        let w0: [i16; QCOLS] = std::array::from_fn(|c| i16::from(w[2 * c]));
+        let w1: [i16; QCOLS] = std::array::from_fn(|c| i16::from(w[2 * c + 1]));
+        for (r, t_row) in t.iter_mut().enumerate() {
+            let (x0, x1) = (x[r * kp + 2 * p], x[r * kp + 2 * p + 1]);
+            for c in 0..QCOLS {
+                t_row[c] += i32::from(x0 * w0[c] + x1 * w1[c]);
             }
         }
     }
+    acc.copy_from_slice(t);
 }
 
 /// i8×i8→i32 dot product of two packed rows — the coarse-distance

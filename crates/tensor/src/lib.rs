@@ -30,8 +30,9 @@
 //!   micro-kernel backend) that steers every kernel.
 //! * [`quant`] — the int8 execution seam: [`QuantMatrix`] weights with
 //!   per-output-channel scales, dynamic per-row activation quantisation,
-//!   and an i8×i8→i32 fused GEMM that is bit-identical across pool
-//!   sizes (integer accumulation + a per-element f32 epilogue).
+//!   and a register-blocked i8×i8→i32 fused GEMM on packed weights that
+//!   is bit-identical across backends and pool sizes (integer
+//!   accumulation + a per-element f32 epilogue).
 //!
 //! Design notes: matrices are plain `Vec<f32>` in row-major order. The
 //! backbone network in the paper is a 5-layer MLP (80→1024→512→128→64→128),

@@ -18,8 +18,8 @@
 //! count (see `DESIGN.md` §11 for the argument), so a plan can never
 //! change what a model computes — only how fast.
 //!
-//! The int8 GEMM ([`crate::quant`]) streams rows through one portable
-//! kernel and reads only `threads` and `par_min_rows`.
+//! The int8 GEMM ([`crate::quant`]) reads `backend`, `threads` and
+//! `par_min_rows`.
 //!
 //! Privacy note (paper Definition 1): a plan describes the *device*, not
 //! the user — thread count and kernel choice. It never leaves the Edge.
@@ -94,11 +94,11 @@ impl KernelPlan {
         }
     }
 
-    /// The same plan with the f32 micro-kernel `backend` replaced,
-    /// degraded to [`Backend::Scalar`] when the host cannot run the
-    /// requested one — used to serve the detected SIMD instance and by
-    /// the smoke benchmarks to force the SIMD/scalar comparison. The
-    /// int8 GEMM has a single portable kernel and ignores the backend.
+    /// The same plan with the micro-kernel `backend` (f32 and int8
+    /// alike) replaced, degraded to [`Backend::Scalar`] when the host
+    /// cannot run the requested one — used to serve the detected SIMD
+    /// instance and by the smoke benchmarks to force the SIMD/scalar
+    /// comparison.
     pub fn with_backend(self, backend: Backend) -> Self {
         let backend = if backend.is_available() {
             backend

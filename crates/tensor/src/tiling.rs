@@ -25,9 +25,10 @@
 //! keeps its bit-identity guarantees while SIMD backends slot in behind
 //! the same loops.
 //!
-//! The int8 GEMM is the degenerate case: a 1-row × full-width tile (the
-//! i32 accumulator row), no stage, and no pool alignment. Its kernel
-//! streams W contiguously, so there is nothing to pack.
+//! The int8 GEMM ([`crate::quant`]) uses the same tile and global
+//! levels — a 3-row × 16-column register tile, row panels aligned to
+//! it — but no stage: its weights are packed once, when the matrix is
+//! quantised, into the block layout the tile reads.
 
 /// Which micro-kernel instance executes a tile.
 ///
@@ -38,9 +39,8 @@
 /// §14): float SIMD may round differently from the scalar `mul_add`
 /// chain on some builds, so the acceptance bar is prediction agreement
 /// ≥ 0.99 plus elementwise tolerance, not byte equality. The int8
-/// distance kernels accumulate in exact integer arithmetic and therefore
-/// *are* bit-identical across backends; the int8 GEMM has a single
-/// portable kernel and ignores the backend.
+/// kernels (the GEMM tile and the distance kernels) accumulate in exact
+/// integer arithmetic and therefore *are* bit-identical across backends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Portable scalar micro-kernels (lane-parallel loops the compiler

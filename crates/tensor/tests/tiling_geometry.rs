@@ -14,8 +14,9 @@
 //! * float SIMD output agrees with scalar within elementwise tolerance
 //!   (the accuracy-gated policy of DESIGN.md §14);
 //! * int8 output under a forced-SIMD plan is **bit-identical** to int8
-//!   under scalar (the int8 GEMM has one portable kernel, and exact
-//!   integer accumulation has no rounding to disagree about).
+//!   under scalar (exact integer accumulation has no rounding to
+//!   disagree about; the oracle grid over every int8 tile remainder
+//!   lives beside the kernel, in `quant.rs`).
 
 use magneto_tensor::matrix::Matrix;
 use magneto_tensor::{Backend, Exec, KernelPlan, QuantMatrix, QuantScratch, SeededRng};
