@@ -1,14 +1,18 @@
 //! On-device training smoke test (wired into `make check`): times the
 //! Siamese train step at the served update shape (the paper backbone,
 //! `TrainerConfig::edge_update()`'s 64 pairs = 128 stacked rows) and
-//! batched inference across compute-pool sizes, emits machine-readable
-//! `BENCH_train.json` / `BENCH_infer.json`, and gates on two properties
-//! of the parallel execution path:
+//! batched inference across compute-pool sizes under the served kernel
+//! plan (`host_default().with_backend(Backend::detect())`), emits
+//! machine-readable `BENCH_train.json` / `BENCH_infer.json`, and gates
+//! on three properties of the execution path:
 //!
 //! 1. **Determinism** — the trained weights (and inference embeddings)
-//!    must be bit-identical at every pool size, including fully inline.
-//! 2. **No regression** — running under a parallel installed kernel
-//!    plan must not be slower than the forced single-thread path: the
+//!    must be bit-identical at every pool size, including one thread.
+//! 2. **Backend identity** — a train step on forced scalar and on the
+//!    forced detected SIMD backend must leave byte-identical weights (on
+//!    an FMA build; DESIGN.md §14), and so must the batched embeddings.
+//! 3. **No regression** — running under a parallel installed kernel
+//!    plan must not be slower than the same plan on one thread: the
 //!    median over alternated sequential/plan pairs of the per-pair
 //!    speedup must be ≥ 1.0×. When the host resolves to one thread both
 //!    runs are the same sequential code, so the pool speedup is reported
@@ -20,6 +24,7 @@
 //! dispatch overhead rather than speedup.
 
 use magneto_nn::pairs::{sample_pairs, PairSample};
+use magneto_nn::serialize::encode_mlp;
 use magneto_nn::siamese::TrainScratch;
 use magneto_nn::{Adam, Mlp, SiameseNetwork, TrainerConfig, PAPER_BACKBONE};
 use magneto_tensor::{Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
@@ -147,7 +152,7 @@ fn write_report(path: &str, report: &BenchReport) {
 }
 
 fn main() {
-    let plan = KernelPlan::host_default();
+    let plan = KernelPlan::host_default().with_backend(Backend::detect());
     let host_threads = plan.threads;
     println!("train_smoke: host isa {}", Backend::isa_summary());
     println!("train_smoke: kernel plan [{}]", plan.describe());
@@ -161,7 +166,8 @@ fn main() {
         .collect();
 
     // ---- training sweep -------------------------------------------------
-    let (seq_weights, seq_times) = train_run(&init, &features, &batches, Exec::inline());
+    let seq_exec = Exec::from_plan(plan.with_threads(1));
+    let (seq_weights, seq_times) = train_run(&init, &features, &batches, seq_exec.clone());
     let seq_mean = stats(seq_times.clone()).mean_ms;
 
     let mut train_entries = Vec::new();
@@ -200,7 +206,7 @@ fn main() {
     let plan_exec = Exec::from_plan(plan);
     let mut ratios = Vec::with_capacity(GATE_PAIRS);
     for pair in 0..GATE_PAIRS {
-        let (_, seq_times) = train_run(&init, &features, &batches, Exec::inline());
+        let (_, seq_times) = train_run(&init, &features, &batches, seq_exec.clone());
         let (plan_weights, plan_times) = train_run(&init, &features, &batches, plan_exec.clone());
         assert_eq!(
             plan_weights, seq_weights,
@@ -256,7 +262,7 @@ fn main() {
 
     // ---- inference sweep ------------------------------------------------
     let trained = SiameseNetwork::new(seq_weights, 1.0);
-    let (seq_emb, seq_times) = infer_run(&trained, &features, Exec::inline());
+    let (seq_emb, seq_times) = infer_run(&trained, &features, seq_exec.clone());
     let seq_mean = stats(seq_times.clone()).mean_ms;
 
     let mut infer_entries = Vec::new();
@@ -287,29 +293,52 @@ fn main() {
     }
 
     // ---- SIMD backend comparison ----------------------------------------
-    // Forced-scalar vs forced-SIMD batched embedding on one thread, so
-    // the comparison isolates the micro-kernel. The float SIMD policy is
-    // accuracy-gated (DESIGN.md §14): elementwise tolerance, not bits.
+    // Forced scalar vs forced SIMD on one thread, so the comparison
+    // isolates the micro-kernel. Every instance runs the scalar kernel's
+    // FMA chains and lane-ordered sums, so on an FMA build the trained
+    // weights and the embeddings are bit-identical (DESIGN.md §14); a
+    // build without FMA rounds the scalar `fma` twice, and there the
+    // embeddings are held to a tolerance instead.
     let mut simd_backend = None;
     let mut simd_speedup = None;
     if let Some(simd) = Backend::detect_simd() {
+        let scalar_plan = plan.with_threads(1).with_backend(Backend::Scalar);
+        let simd_plan = plan.with_threads(1).with_backend(simd);
+        let fused = cfg!(target_feature = "fma");
+        if fused {
+            let (scalar_weights, _) =
+                train_run(&init, &features, &batches, Exec::from_plan(scalar_plan));
+            let (simd_weights, _) =
+                train_run(&init, &features, &batches, Exec::from_plan(simd_plan));
+            assert!(
+                encode_mlp(&scalar_weights) == encode_mlp(&simd_weights),
+                "weights trained on forced {simd} differ from forced scalar"
+            );
+            println!("train_smoke: {simd} vs scalar train step: trained weights byte-identical");
+        } else {
+            println!("train_smoke: build without FMA: {simd} vs scalar weights not compared");
+        }
         let (scalar_emb, scalar_times) =
-            infer_run(&trained, &features, Exec::from_plan(plan.with_threads(1)));
-        let (simd_emb, simd_times) = infer_run(
-            &trained,
-            &features,
-            Exec::from_plan(plan.with_threads(1).with_backend(simd)),
-        );
+            infer_run(&trained, &features, Exec::from_plan(scalar_plan));
+        let (simd_emb, simd_times) = infer_run(&trained, &features, Exec::from_plan(simd_plan));
         let max_diff = scalar_emb
             .as_slice()
             .iter()
             .zip(simd_emb.as_slice())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        assert!(
-            max_diff <= 1e-3,
-            "forced-{simd} embeddings diverge from scalar: max diff {max_diff}"
-        );
+        if fused {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&scalar_emb) == bits(&simd_emb),
+                "forced-{simd} embeddings differ from scalar: max diff {max_diff}"
+            );
+        } else {
+            assert!(
+                max_diff <= 1e-3,
+                "forced-{simd} embeddings diverge from scalar: max diff {max_diff}"
+            );
+        }
         let best = |ms: &[f64]| ms.iter().copied().fold(f64::INFINITY, f64::min);
         let speedup = best(&scalar_times) / best(&simd_times);
         println!(

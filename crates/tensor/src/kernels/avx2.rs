@@ -4,12 +4,15 @@
 //! accumulation structure*: each output element is one fused
 //! multiply-add chain in ascending `k`, and horizontal reductions store
 //! the vector lanes to an array and sum them in the same sequential
-//! order as the scalar lane sums. On an FMA-contracted build (the
-//! workspace passes `-C target-cpu=native`) that typically makes the
-//! f32 results bit-equal to scalar, but the contract is only the
-//! DESIGN.md §14 accuracy-agreement gate — never byte equality. The
-//! int8 kernels accumulate in exact integer arithmetic and *are*
-//! bit-identical to scalar.
+//! order as the scalar lane sums. On a build whose `fma` helper is a
+//! hardware FMA (the workspace passes `-C target-cpu=native`) that makes
+//! the f32 results bit-identical to scalar, and the tests gate them on
+//! `to_bits` (DESIGN.md §14). The int8 kernels accumulate in exact
+//! integer arithmetic and are bit-identical to scalar on every build.
+//!
+//! The [`Backend::Avx512`](crate::tiling::Backend::Avx512) instance set
+//! runs these kernels too, except the two f32 tiles it has its own
+//! instance of (`super::avx512`).
 //!
 //! Callers must only dispatch here after
 //! [`Backend::Avx2.is_available()`](crate::tiling::Backend::is_available)
@@ -107,7 +110,7 @@ pub(crate) unsafe fn axpy(x: f32, b: &[f32], out: &mut [f32]) {
 /// Sum the lanes of `v` sequentially, mirroring the scalar kernels'
 /// `acc.iter().sum()` reduction order.
 #[target_feature(enable = "avx2")]
-unsafe fn hsum_ordered(v: __m256) -> f32 {
+pub(super) unsafe fn hsum_ordered(v: __m256) -> f32 {
     let mut lanes = [0.0f32; VL];
     // SAFETY: `lanes` is exactly one 256-bit vector wide.
     unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };

@@ -3,8 +3,11 @@
 //!
 //! This module owns the *how* of every GEMM: the stage-level packing and
 //! the panel-level loops live here once, and the innermost register-tile
-//! arithmetic is dispatched to the scalar / AVX2 / NEON instance named
-//! by the plan's [`Backend`]. The callers in [`crate::matrix`] and
+//! arithmetic is dispatched to the scalar / AVX2 / AVX-512 / NEON
+//! instance named by the plan's [`Backend`]. The AVX-512 set has its
+//! own instance of the two f32 tiles only and runs the AVX2 instance of
+//! every other kernel; each dispatch names the instance every backend
+//! runs, with no wildcard arm. The callers in [`crate::matrix`] and
 //! [`crate::quant`] keep the *global* level — shape checks, kernel
 //! choice from the total row count, and the row-panel split across the
 //! compute pool — so the tile, stage and global levels of the
@@ -15,9 +18,9 @@
 //! [`QuantMatrix`](crate::quant::QuantMatrix) is built, into the
 //! column-block, k-pair-interleaved layout the tile reads, so the
 //! [`qtile_dispatch`] instances stream a block front to back. The AVX2
-//! instance is the `cvtepi8_epi16` + `madd_epi16` register tile; Scalar
-//! and NEON run the portable one. The int8 distance kernels (`qdot`,
-//! `qdot4`) dispatch the same way.
+//! instance is the `cvtepi8_epi16` + `madd_epi16` register tile, which
+//! AVX-512 runs too; Scalar and NEON run the portable one. The int8
+//! distance kernels (`qdot`, `qdot4`) dispatch the same way.
 //!
 //! Stage buffers are thread-locals ping-ponged between consecutive
 //! k-panels (double buffering: the pack of panel `p` writes the buffer
@@ -25,9 +28,10 @@
 //! have in flight in the store pipeline). Pool workers are long-lived
 //! threads, so after the first GEMM the steady state allocates nothing.
 //!
-//! Dispatch safety: the AVX2 arms execute `#[target_feature]` functions,
-//! which is only defined when the host really has AVX2+FMA. Every
-//! [`Exec`](crate::pool::Exec) runs its plan through
+//! Dispatch safety: the AVX2 and AVX-512 arms execute
+//! `#[target_feature]` functions, which is only defined when the host
+//! really has the features. Every [`Exec`](crate::pool::Exec) runs its
+//! plan through
 //! [`KernelPlan::sanitized`](crate::plan::KernelPlan::sanitized), which
 //! replaces unavailable backends with [`Backend::Scalar`], and the
 //! dispatchers below re-check availability in debug builds.
@@ -42,6 +46,9 @@ pub(crate) mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512;
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
@@ -107,12 +114,25 @@ fn tile_fma_dispatch<const TC: usize>(
             // plan, which guarantees AVX2+FMA are present at runtime.
             unsafe { avx2::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc) }
         }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => {
+            debug_check_available(backend);
+            // SAFETY: Avx512 only reaches dispatch through a sanitized
+            // plan, which guarantees AVX-512F+VL and FMA at runtime.
+            unsafe { avx512::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc) }
+        }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc),
-        // Backends for other architectures are unreachable on this one
-        // (sanitized plans never carry them) but must still compile.
-        #[allow(unreachable_patterns)]
-        _ => scalar::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc),
+        // Backends of another architecture never reach dispatch
+        // (sanitized plans degrade them to scalar) but must be matched:
+        // no dispatch has a wildcard arm, so a new backend fails to
+        // compile until every dispatch names the instance it runs.
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => {
+            scalar::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc)
+        }
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::tile_fma::<TC>(a0, a1, a2, a3, k0, k1, stage, acc),
     }
 }
 
@@ -123,15 +143,17 @@ pub(crate) fn axpy_dispatch(backend: Backend, x: f32, b: &[f32], out: &mut [f32]
     match backend {
         Backend::Scalar => scalar::axpy(x, b, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2+FMA at runtime.
             unsafe { avx2::axpy(x, b, out) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::axpy(x, b, out),
-        #[allow(unreachable_patterns)]
-        _ => scalar::axpy(x, b, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::axpy(x, b, out),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::axpy(x, b, out),
     }
 }
 
@@ -141,15 +163,17 @@ fn dot_dispatch(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
     match backend {
         Backend::Scalar => scalar::dot_lanes(a, b),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2+FMA at runtime.
             unsafe { avx2::dot_lanes(a, b) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::dot_lanes(a, b),
-        #[allow(unreachable_patterns)]
-        _ => scalar::dot_lanes(a, b),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::dot_lanes(a, b),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::dot_lanes(a, b),
     }
 }
 
@@ -167,15 +191,17 @@ fn tile_2x4_dispatch(
     match backend {
         Backend::Scalar => scalar::tile_2x4(a0, a1, b0, b1, b2, b3),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2+FMA at runtime.
             unsafe { avx2::tile_2x4(a0, a1, b0, b1, b2, b3) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::tile_2x4(a0, a1, b0, b1, b2, b3),
-        #[allow(unreachable_patterns)]
-        _ => scalar::tile_2x4(a0, a1, b0, b1, b2, b3),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::tile_2x4(a0, a1, b0, b1, b2, b3),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::tile_2x4(a0, a1, b0, b1, b2, b3),
     }
 }
 
@@ -186,15 +212,17 @@ pub(crate) fn qdot_dispatch(backend: Backend, a: &[i8], b: &[i8]) -> i32 {
     match backend {
         Backend::Scalar => scalar::qdot(a, b),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2 at runtime.
             unsafe { avx2::qdot(a, b) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::qdot(a, b),
-        #[allow(unreachable_patterns)]
-        _ => scalar::qdot(a, b),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::qdot(a, b),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::qdot(a, b),
     }
 }
 
@@ -212,15 +240,17 @@ pub(crate) fn qdot4_dispatch(
     match backend {
         Backend::Scalar => scalar::qdot4(q, r0, r1, r2, r3),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2 at runtime.
             unsafe { avx2::qdot4(q, r0, r1, r2, r3) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => neon::qdot4(q, r0, r1, r2, r3),
-        #[allow(unreachable_patterns)]
-        _ => scalar::qdot4(q, r0, r1, r2, r3),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::qdot4(q, r0, r1, r2, r3),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => scalar::qdot4(q, r0, r1, r2, r3),
     }
 }
 
@@ -240,14 +270,16 @@ pub(crate) fn qtile_dispatch(
     assert!((1..=QROWS).contains(&acc.len()) && kp.is_multiple_of(2));
     assert!(x.len() >= acc.len() * kp && block.len() >= kp * QCOLS);
     match backend {
+        Backend::Scalar | Backend::Neon => scalar::qtile(x, kp, block, acc),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 | Backend::Avx512 => {
             debug_check_available(backend);
             // SAFETY: sanitized plans guarantee AVX2 at runtime; the
             // lengths were checked above.
             unsafe { avx2::qtile(x, kp, block, acc) }
         }
-        _ => scalar::qtile(x, kp, block, acc),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => scalar::qtile(x, kp, block, acc),
     }
 }
 
@@ -374,8 +406,41 @@ pub(crate) fn matmul_axpy_panel(
     }
 }
 
-/// `lhs · rhsᵀ` panel: output rows `[r0, r1)` as 2×4 register tiles of
-/// dot products with single-row/column tails.
+/// Dispatch of the 4×4 dot-product register tile. Only `Avx512` has an
+/// instance of its own (its 16 accumulators need 32 vector registers);
+/// every other backend runs its 2×4 tile twice, which computes each
+/// output the same way.
+#[inline]
+fn tile_4x4_dispatch(backend: Backend, a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx512 {
+        debug_check_available(backend);
+        // SAFETY: sanitized plans guarantee AVX-512F+VL, AVX2 and FMA at
+        // runtime.
+        return unsafe { avx512::tile_4x4(a, b) };
+    }
+    let [b0, b1, b2, b3] = b;
+    let [r0, r1] = tile_2x4_dispatch(backend, a[0], a[1], b0, b1, b2, b3);
+    let [r2, r3] = tile_2x4_dispatch(backend, a[2], a[3], b0, b1, b2, b3);
+    [r0, r1, r2, r3]
+}
+
+/// Rows of `rhs` per cache block of [`matmul_transpose_panel`]: a block
+/// is read from cache by every row of the panel. 4, 16 and 64 rows
+/// measured within noise of each other on the paper backbone; a multiple
+/// of 4 keeps every block but the last free of a column tail.
+const DOT_BLOCK: usize = 16;
+
+/// `lhs · rhsᵀ` panel: output rows `[r0, r1)` as dot products.
+///
+/// `rhs` is walked in blocks of [`DOT_BLOCK`] rows, and every row of the
+/// panel runs against a block while it is still in cache, so `rhs` is
+/// read from memory once per panel instead of once per pair of `lhs`
+/// rows. Within a block, rows go in 4×4 register tiles, then one 2×4
+/// tile, and an odd last row and the `n % 4` column tail take the
+/// single dot product. Every output is the same 8-lane FMA split summed
+/// in lane order, whatever tile computes it, so the blocking moves no
+/// bit.
 #[allow(clippy::too_many_arguments)] // panel geometry is inherently wide
 pub(crate) fn matmul_transpose_panel(
     backend: Backend,
@@ -390,37 +455,50 @@ pub(crate) fn matmul_transpose_panel(
     let base = r0 * n;
     let a_row = |i: usize| &lhs[i * k_total..(i + 1) * k_total];
     let b_row = |j: usize| &rhs[j * k_total..(j + 1) * k_total];
-    let mut i = r0;
-    while i + 2 <= r1 {
-        let a0 = a_row(i);
-        let a1 = a_row(i + 1);
-        let mut j = 0;
-        while j + 4 <= n {
-            let t = tile_2x4_dispatch(
-                backend,
-                a0,
-                a1,
-                b_row(j),
-                b_row(j + 1),
-                b_row(j + 2),
-                b_row(j + 3),
-            );
-            panel[i * n + j - base..i * n + j + 4 - base].copy_from_slice(&t[0]);
-            panel[(i + 1) * n + j - base..(i + 1) * n + j + 4 - base].copy_from_slice(&t[1]);
-            j += 4;
+    let quads = |j: usize| [b_row(j), b_row(j + 1), b_row(j + 2), b_row(j + 3)];
+    let mut jb = 0;
+    while jb < n {
+        let je = (jb + DOT_BLOCK).min(n);
+        let mut i = r0;
+        while i + 4 <= r1 {
+            let a = [a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3)];
+            let mut j = jb;
+            while j + 4 <= je {
+                let t = tile_4x4_dispatch(backend, a, quads(j));
+                for (r, t_row) in t.iter().enumerate() {
+                    let at = (i + r) * n + j - base;
+                    panel[at..at + 4].copy_from_slice(t_row);
+                }
+                j += 4;
+            }
+            for j in j..je {
+                for (r, a_r) in a.iter().enumerate() {
+                    panel[(i + r) * n + j - base] = dot_dispatch(backend, a_r, b_row(j));
+                }
+            }
+            i += 4;
         }
-        while j < n {
-            let b = b_row(j);
-            panel[i * n + j - base] = dot_dispatch(backend, a0, b);
-            panel[(i + 1) * n + j - base] = dot_dispatch(backend, a1, b);
-            j += 1;
+        if i + 2 <= r1 {
+            let (a0, a1) = (a_row(i), a_row(i + 1));
+            let mut j = jb;
+            while j + 4 <= je {
+                let [b0, b1, b2, b3] = quads(j);
+                let t = tile_2x4_dispatch(backend, a0, a1, b0, b1, b2, b3);
+                panel[i * n + j - base..i * n + j + 4 - base].copy_from_slice(&t[0]);
+                panel[(i + 1) * n + j - base..(i + 1) * n + j + 4 - base].copy_from_slice(&t[1]);
+                j += 4;
+            }
+            for j in j..je {
+                panel[i * n + j - base] = dot_dispatch(backend, a0, b_row(j));
+                panel[(i + 1) * n + j - base] = dot_dispatch(backend, a1, b_row(j));
+            }
+            i += 2;
         }
-        i += 2;
-    }
-    if i < r1 {
-        let a0 = a_row(i);
-        for j in 0..n {
-            panel[i * n + j - base] = dot_dispatch(backend, a0, b_row(j));
+        if i < r1 {
+            for j in jb..je {
+                panel[i * n + j - base] = dot_dispatch(backend, a_row(i), b_row(j));
+            }
         }
+        jb = je;
     }
 }

@@ -5,7 +5,8 @@
 //! stores. Structure mirrors the scalar kernels the same way
 //! [`super::avx2`] does: one fused multiply-add chain per output element
 //! in ascending `k`, sequential lane sums for reductions. The float
-//! contract is the DESIGN.md §14 accuracy-agreement gate; the int8
+//! results are bit-identical to scalar on a build whose `fma` helper
+//! fuses and held to a tolerance otherwise (DESIGN.md §14); the int8
 //! kernels are bit-identical to scalar (exact integer arithmetic).
 
 // Whether the pure-register NEON intrinsics (`vdupq_n_f32`,

@@ -553,13 +553,27 @@ impl Matrix {
     }
 
     /// Transpose written into `out`, reusing `out`'s allocation — the
-    /// staging step that lets batched forwards run on the tiled
-    /// [`Matrix::matmul_transpose_into`] kernel.
+    /// `xᵀ` pack of [`Matrix::transpose_matmul_into_packed`].
+    ///
+    /// Copies square blocks of [`TRANSPOSE_BLOCK`] rows and columns,
+    /// reading each source row segment contiguously, so the destination
+    /// rows a block writes stay in cache instead of every write striding
+    /// a whole column. It only moves values, so the blocking changes no
+    /// bit.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        const B: usize = TRANSPOSE_BLOCK;
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize(cols, rows);
+        for r0 in (0..rows).step_by(B) {
+            let r1 = (r0 + B).min(rows);
+            for c0 in (0..cols).step_by(B) {
+                let c1 = (c0 + B).min(cols);
+                for r in r0..r1 {
+                    let src = &self.data[r * cols + c0..r * cols + c1];
+                    for (c, &v) in (c0..c1).zip(src) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
     }
@@ -817,6 +831,11 @@ pub(crate) const TILE_COLS: usize = 32;
 /// L1-resident between row tiles. Each panel continues the same
 /// ascending-`k` accumulation, so the depth moves no bits.
 pub(crate) const PANEL_K: usize = 256;
+
+/// Side of the square blocks [`Matrix::transpose_into`] copies: a
+/// 32 × 32 block is 4 KB of source and 4 KB of destination, well inside
+/// L1.
+const TRANSPOSE_BLOCK: usize = 32;
 
 /// Row height of the register tile in [`Matrix::matmul_into_exec`]'s
 /// batched kernel. Row panels handed to pool pieces are aligned to this

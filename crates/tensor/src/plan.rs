@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn with_backend_degrades_unavailable_to_scalar() {
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        for b in Backend::ALL {
             let p = KernelPlan::inline().with_backend(b);
             assert!(p.backend.is_available());
             if b.is_available() {

@@ -423,9 +423,12 @@ mod tests {
 
     #[test]
     fn simd_qdot_bit_identical_to_scalar() {
-        let Some(simd) = Backend::detect_simd() else {
-            return; // scalar-only host: nothing to compare
-        };
+        for simd in Backend::candidates() {
+            simd_qdot_matches_scalar(simd);
+        }
+    }
+
+    fn simd_qdot_matches_scalar(simd: Backend) {
         let mut rng = SeededRng::new(16);
         for dim in [1usize, 7, 8, 15, 16, 17, 31, 32, 33, 64, 80, 127, 128] {
             let mut store = QuantRowStore::new(dim).unwrap();

@@ -20,7 +20,7 @@
 //! scheduling (thread count, dispatch thresholds) comes from the
 //! [`KernelPlan`](crate::plan::KernelPlan). A [`Backend`] names *which
 //! micro-kernel instance executes the tile* (portable scalar, AVX2+FMA,
-//! NEON); the ISA is detected at runtime, and the loop structure in
+//! AVX-512, NEON); the ISA is detected at runtime, and the loop structure in
 //! [`crate::kernels`] is shared by every backend — so the scalar path
 //! keeps its bit-identity guarantees while SIMD backends slot in behind
 //! the same loops.
@@ -34,13 +34,17 @@
 ///
 /// `Scalar` is always available and is the reference every other
 /// backend is measured against: the scalar kernels are bit-identical to
-/// the pre-SIMD code and property-tested against the naive oracle. SIMD
-/// backends are *accuracy-gated instead of bit-gated* (see DESIGN.md
-/// §14): float SIMD may round differently from the scalar `mul_add`
-/// chain on some builds, so the acceptance bar is prediction agreement
-/// ≥ 0.99 plus elementwise tolerance, not byte equality. The int8
-/// kernels (the GEMM tile and the distance kernels) accumulate in exact
-/// integer arithmetic and therefore *are* bit-identical across backends.
+/// the pre-SIMD code and property-tested against the naive oracle.
+/// Every SIMD instance keeps the scalar kernel's operation sequence per
+/// output element — one fused multiply-add chain in ascending `k`, and
+/// the dot products' 8-lane split summed in lane order — so on a build
+/// whose `fma` helper is a hardware FMA (the workspace builds with
+/// `-C target-cpu=native`) the f32 results are bit-identical on every
+/// backend, and the tests gate them on `to_bits` (DESIGN.md §14). On a
+/// build without FMA the scalar `fma` rounds twice while the intrinsics
+/// fuse, so there the gate is elementwise tolerance. The int8 kernels
+/// (the GEMM tile and the distance kernels) accumulate in exact integer
+/// arithmetic and are bit-identical on every build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Portable scalar micro-kernels (lane-parallel loops the compiler
@@ -49,6 +53,11 @@ pub enum Backend {
     Scalar,
     /// AVX2 + FMA intrinsics on `x86_64`, runtime-detected.
     Avx2,
+    /// AVX-512F + VL + FMA on `x86_64`, runtime-detected. It has its own
+    /// instance of the two f32 tiles only (the 512-bit broadcast-FMA tile
+    /// and a 4×4 dot-product tile that needs VL's 32 vector registers);
+    /// every other kernel runs the [`Backend::Avx2`] instance.
+    Avx512,
     /// NEON intrinsics on `aarch64` (baseline feature there).
     Neon,
 }
@@ -59,6 +68,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
         }
     }
@@ -75,21 +85,36 @@ impl Backend {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
+            // The instance set reuses the AVX2 kernels, so it needs
+            // everything `Avx2` does.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                Backend::Avx2.is_available()
+                    && std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => false,
+            Backend::Avx2 | Backend::Avx512 => false,
             // NEON is a baseline feature of aarch64; presence of the
             // architecture is presence of the ISA.
             Backend::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
+    /// Every backend, the reference first and then the SIMD instances
+    /// in order of preference.
+    pub const ALL: [Backend; 4] = [
+        Backend::Scalar,
+        Backend::Avx512,
+        Backend::Avx2,
+        Backend::Neon,
+    ];
+
     /// The best SIMD backend the host supports, if any. `None` means
     /// the scalar fallback is the only option (e.g. x86_64 without
     /// AVX2, or a non-x86/ARM architecture).
     pub fn detect_simd() -> Option<Backend> {
-        [Backend::Avx2, Backend::Neon]
-            .into_iter()
-            .find(|b| b.is_available())
+        Backend::ALL[1..].iter().copied().find(|b| b.is_available())
     }
 
     /// Best available backend: the detected SIMD instance, or scalar.
@@ -98,11 +123,14 @@ impl Backend {
     }
 
     /// Every backend the host can run, scalar first — the sweep order of
-    /// the cross-backend bit-identity tests.
+    /// the cross-backend bit-identity tests. On an AVX-512 host that is
+    /// scalar, `Avx512` and `Avx2`: the preferred instance does not hide
+    /// the one it delegates to.
     pub fn candidates() -> Vec<Backend> {
-        let mut out = vec![Backend::Scalar];
-        out.extend(Backend::detect_simd());
-        out
+        Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
     }
 
     /// One-line host ISA summary for startup banners and smoke-test
@@ -141,19 +169,30 @@ mod tests {
                 assert!(b.is_available());
                 assert_ne!(b, Backend::Scalar);
             }
-            None => {
-                assert!(!Backend::Avx2.is_available());
-                assert!(!Backend::Neon.is_available());
-            }
+            None => assert_eq!(Backend::candidates(), [Backend::Scalar]),
+        }
+    }
+
+    #[test]
+    fn candidates_are_every_available_backend() {
+        let all = Backend::candidates();
+        assert_eq!(all[0], Backend::Scalar);
+        for b in Backend::ALL {
+            assert_eq!(all.contains(&b), b.is_available(), "{b}");
+        }
+        // The preferred instance delegates to AVX2, so it never shows up
+        // without it.
+        if Backend::Avx512.is_available() {
+            assert!(Backend::Avx2.is_available());
+            assert_eq!(Backend::detect(), Backend::Avx512);
         }
     }
 
     #[test]
     fn backend_names_round_trip() {
-        const ALL: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Neon];
-        for b in ALL {
+        for b in Backend::ALL {
             // Names are unique, so a name leads back to its backend.
-            let back = ALL.into_iter().find(|c| c.name() == b.name());
+            let back = Backend::ALL.into_iter().find(|c| c.name() == b.name());
             assert_eq!(back, Some(b));
             assert_eq!(b.to_string(), b.name());
         }

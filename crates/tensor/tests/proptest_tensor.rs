@@ -283,17 +283,13 @@ fn pooled_execs() -> &'static [Exec] {
 }
 
 /// Execution contexts for the gradient-GEMM property: pool sizes 1, 2
-/// and 4 on the scalar backend and on the host's detected one, with the
+/// and 4 on every backend the host can run, with the
 /// parallel floor lowered as in [`pooled_execs`].
 fn dw_execs() -> &'static [Exec] {
     static EXECS: std::sync::OnceLock<Vec<Exec>> = std::sync::OnceLock::new();
     EXECS.get_or_init(|| {
-        let mut backends = vec![Backend::Scalar];
-        if Backend::detect() != Backend::Scalar {
-            backends.push(Backend::detect());
-        }
         let mut execs = Vec::new();
-        for &backend in &backends {
+        for backend in Backend::candidates() {
             for threads in [1usize, 2, 4] {
                 let mut plan = KernelPlan::inline().with_threads(threads).with_backend(backend);
                 plan.par_min_rows = 8;
