@@ -412,17 +412,24 @@ pub(crate) fn matmul_axpy_panel(
 /// output the same way.
 #[inline]
 fn tile_4x4_dispatch(backend: Backend, a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f32; 4]; 4] {
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 {
-        debug_check_available(backend);
-        // SAFETY: sanitized plans guarantee AVX-512F+VL, AVX2 and FMA at
-        // runtime.
-        return unsafe { avx512::tile_4x4(a, b) };
+    let twice_2x4 = |backend| {
+        let [b0, b1, b2, b3] = b;
+        let [r0, r1] = tile_2x4_dispatch(backend, a[0], a[1], b0, b1, b2, b3);
+        let [r2, r3] = tile_2x4_dispatch(backend, a[2], a[3], b0, b1, b2, b3);
+        [r0, r1, r2, r3]
+    };
+    match backend {
+        Backend::Scalar | Backend::Avx2 | Backend::Neon => twice_2x4(backend),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => {
+            debug_check_available(backend);
+            // SAFETY: sanitized plans guarantee AVX-512F+VL, AVX2 and FMA
+            // at runtime.
+            unsafe { avx512::tile_4x4(a, b) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx512 => twice_2x4(backend),
     }
-    let [b0, b1, b2, b3] = b;
-    let [r0, r1] = tile_2x4_dispatch(backend, a[0], a[1], b0, b1, b2, b3);
-    let [r2, r3] = tile_2x4_dispatch(backend, a[2], a[3], b0, b1, b2, b3);
-    [r0, r1, r2, r3]
 }
 
 /// Rows of `rhs` per cache block of [`matmul_transpose_panel`]: a block

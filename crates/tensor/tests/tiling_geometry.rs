@@ -345,7 +345,9 @@ fn dispatch_bits(
 
     let mut int8_bits = Vec::new();
     let w = QuantMatrix::quantize(b).unwrap();
-    let bias: Vec<f32> = (0..b.cols()).map(|j| (j as f32).cos() * 0.1).collect();
+    // Plain arithmetic, not a libm call: the golden digest below must
+    // not depend on how the platform's libm rounds.
+    let bias: Vec<f32> = (0..b.cols()).map(|j| ((j % 7) as f32 - 3.0) * 0.03).collect();
     let mut scratch = QuantScratch::new();
     for exec in [&tiled, &axpy] {
         w.matmul_bias_act_into_exec(a, &bias, |v| v.max(0.0), &mut m, &mut scratch, exec)
@@ -423,6 +425,6 @@ fn outputs_match_the_digest_of_the_unblocked_kernels() {
         return;
     }
     for backend in Backend::candidates() {
-        assert_eq!(dispatch_digest(backend), 0xc347_5cbe_956f_4170, "{backend}");
+        assert_eq!(dispatch_digest(backend), 0xf793_6eb7_326b_03dc, "{backend}");
     }
 }
