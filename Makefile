@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all clippy lint-unsafe fmt bench bench-train bench-fleet bench-quant bench-fleet-scale bench-ncm bench-rollout bench-continual fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke chaos chaos-drift loc clean
+.PHONY: check build test test-all clippy lint-unsafe bench-check fmt bench bench-train bench-fleet bench-quant bench-fleet-scale bench-ncm bench-rollout bench-continual fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke chaos chaos-drift loc clean
 
-check: build test clippy lint-unsafe fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke
+check: build test clippy lint-unsafe bench-check fleet-smoke fleet-scale-smoke train-smoke quant-smoke fault-smoke ncm-scale-smoke rollout-smoke continual-smoke
 
 build:
 	$(CARGO) build --release
@@ -35,6 +35,17 @@ lint-unsafe:
 		echo "error: unsafe block without a '// SAFETY:' comment ending within 3 lines above"; exit 1; \
 	fi; \
 	echo "lint-unsafe: all unsafe blocks annotated"
+
+# Type-check the benchmark package, a package of its own that no
+# workspace build covers, so a public-API change that breaks it fails
+# here instead of in a benchmark run. The check rewrites the package's
+# Cargo.lock; the lock is restored afterwards, and the target keeps the
+# check's exit status.
+BENCH_DIR := crates/bench/src/bin/magneto_benchmark
+bench-check:
+	@saved=$$(mktemp); cp $(BENCH_DIR)/Cargo.lock $$saved; \
+	$(CARGO) check --all-targets --manifest-path $(BENCH_DIR)/Cargo.toml; status=$$?; \
+	cp $$saved $(BENCH_DIR)/Cargo.lock; rm -f $$saved; exit $$status
 
 fmt:
 	$(CARGO) fmt --all

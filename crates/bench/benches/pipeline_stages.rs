@@ -87,10 +87,10 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
     // The tentpole claim: embedding a backlog of 64 windows as one
     // (64, 80) batch through the paper backbone vs looping embed_one.
     let mut group = c.benchmark_group("batched_vs_per_sample");
-    let model = magneto_core::ResidentModel::from(SiameseNetwork::new(
+    let model = SiameseNetwork::new(
         Mlp::new(&magneto_nn::PAPER_BACKBONE, &mut SeededRng::new(7)).unwrap(),
         1.0,
-    ));
+    );
     let mut rng = SeededRng::new(8);
     let rows: Vec<Vec<f32>> = (0..64)
         .map(|_| (0..80).map(|_| rng.normal()).collect())

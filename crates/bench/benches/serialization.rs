@@ -5,8 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use magneto_core::cloud::{CloudConfig, CloudInitializer};
 use magneto_core::EdgeBundle;
-use magneto_nn::quantize::QuantizedMlp;
-use magneto_nn::serialize::{decode_mlp, encode_mlp};
+use magneto_nn::serialize::{decode_mlp, encode_mlp, encode_quantized_mlp};
 use magneto_nn::Mlp;
 use magneto_sensors::{GeneratorConfig, SensorDataset};
 use magneto_tensor::SeededRng;
@@ -46,8 +45,9 @@ fn bench_model_codec(c: &mut Criterion) {
     c.bench_function("model_decode_paper_backbone", |b| {
         b.iter(|| decode_mlp(black_box(&encoded)).unwrap())
     });
-    c.bench_function("model_quantize_paper_backbone", |b| {
-        b.iter(|| QuantizedMlp::quantize(black_box(&net)))
+    // Quantises each f32 layer while it writes `MGQ2`.
+    c.bench_function("model_encode_quantized_paper_backbone", |b| {
+        b.iter(|| encode_quantized_mlp(black_box(&net)))
     });
 }
 

@@ -18,7 +18,7 @@
 //! sweep as `unmeasured`.
 
 use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision};
-use magneto_nn::{Mlp, QuantizedSiamese, SiameseNetwork};
+use magneto_nn::{Mlp, SiameseNetwork};
 use magneto_sensors::{GeneratorConfig, SensorDataset};
 use magneto_tensor::{install_global, Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
 use serde::Serialize;
@@ -119,7 +119,7 @@ fn stats(mut ms: Vec<f64>) -> Timings {
 
 /// Embed `features` `REPS` times on the given exec; returns the last
 /// embedding batch and per-call times.
-fn quant_infer_run(net: &QuantizedSiamese, features: &Matrix, exec: Exec) -> (Matrix, Vec<f64>) {
+fn quant_infer_run(net: &SiameseNetwork, features: &Matrix, exec: Exec) -> (Matrix, Vec<f64>) {
     let mut ws = Workspace::with_exec(exec);
     let mut out = Matrix::default();
     let mut times = Vec::with_capacity(REPS);
@@ -136,8 +136,9 @@ fn quant_infer_run(net: &QuantizedSiamese, features: &Matrix, exec: Exec) -> (Ma
 /// `BACKBONE_SAMPLE_ROWS` rows each. Asserts bit-identical embeddings.
 fn backbone_sweep(simd: Backend, plan: KernelPlan) -> Vec<BackboneEntry> {
     let mut rng = SeededRng::new(0x54);
-    let net = SiameseNetwork::new(Mlp::paper_backbone(&mut rng).expect("backbone"), 1.0);
-    let qnet = QuantizedSiamese::quantize(&net).expect("quantize");
+    let qnet = SiameseNetwork::new(Mlp::paper_backbone(&mut rng).expect("backbone"), 1.0)
+        .into_precision(Precision::Int8)
+        .expect("quantize");
     let one_thread = plan.with_threads(1);
     let mut ws_simd = Workspace::with_exec(Exec::from_plan(one_thread.with_backend(simd)));
     let mut ws_scalar =
@@ -146,7 +147,7 @@ fn backbone_sweep(simd: Backend, plan: KernelPlan) -> Vec<BackboneEntry> {
     let mut entries = Vec::new();
     for &batch in BACKBONE_BATCHES {
         let rows: Vec<Vec<f32>> = (0..batch)
-            .map(|_| (0..net.backbone().input_dim()).map(|_| rng.normal()).collect())
+            .map(|_| (0..qnet.backbone().input_dim()).map(|_| rng.normal()).collect())
             .collect();
         let features = Matrix::from_rows(&rows).expect("features");
         let calls = BACKBONE_SAMPLE_ROWS / batch;
@@ -264,8 +265,9 @@ fn main() {
 
     // ---- kernel-level sweep: bit-identity across pool sizes ------------
     let mut rng = SeededRng::new(0x53);
-    let net = SiameseNetwork::new(Mlp::new(DIMS, &mut rng).expect("backbone"), 1.0);
-    let qnet = QuantizedSiamese::quantize(&net).expect("quantize");
+    let qnet = SiameseNetwork::new(Mlp::new(DIMS, &mut rng).expect("backbone"), 1.0)
+        .into_precision(Precision::Int8)
+        .expect("quantize");
     let rows: Vec<Vec<f32>> = (0..BATCH)
         .map(|_| (0..DIMS[0]).map(|_| rng.normal()).collect())
         .collect();
@@ -348,10 +350,22 @@ fn main() {
             "quant_smoke: forced-{simd} agreement vs scalar: f32 {f32_agree}/{n}, int8 {int8_agree}/{n}",
             n = eval.windows.len()
         );
-        assert!(
-            f32_agreement >= 0.99,
-            "forced-{simd} f32 agreement {f32_agreement:.3} below the 0.99 gate"
-        );
+        // On an FMA build every f32 kernel is bit-identical across
+        // backends, so the forced-SIMD device must predict exactly what
+        // the scalar device does; without FMA the scalar `fma` helper
+        // rounds twice and only the 0.99 agreement bar holds.
+        if cfg!(target_feature = "fma") {
+            assert_eq!(
+                f32_agree,
+                eval.windows.len(),
+                "forced-{simd} f32 predictions must equal scalar's on an FMA build"
+            );
+        } else {
+            assert!(
+                f32_agreement >= 0.99,
+                "forced-{simd} f32 agreement {f32_agreement:.3} below the 0.99 gate"
+            );
+        }
         assert_eq!(
             int8_agree,
             eval.windows.len(),

@@ -26,13 +26,11 @@
 
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
-use crate::precision::ResidentModel;
 use crate::support_set::SupportSet;
 use crate::version::{Fnv64, Lineage, ModelVersion};
 use crate::Result;
 use magneto_dsp::PreprocessingPipeline;
-use magneto_nn::quantize::{QuantizedMlp, QuantizedSiamese};
-use magneto_nn::serialize::{decode_mlp, encode_mlp};
+use magneto_nn::serialize::{decode_mlp, decode_quantized_mlp, encode_mlp, encode_quantized_mlp};
 use magneto_nn::SiameseNetwork;
 use serde::{Deserialize, Serialize};
 
@@ -53,9 +51,9 @@ pub struct EdgeBundle {
     /// The pre-processing function (denoise → 80 features → normalise).
     pub pipeline: PreprocessingPipeline,
     /// The embedding model at the precision it was decoded (or built)
-    /// at. A quantised bundle decodes straight into the `Int8` arm — no
-    /// f32 weights are ever materialised.
-    pub model: ResidentModel,
+    /// at. A quantised bundle decodes straight into int8 layers — no f32
+    /// weights are ever materialised.
+    pub model: SiameseNetwork,
     /// Budgeted per-class exemplars.
     pub support_set: SupportSet,
     /// Class id registry.
@@ -187,21 +185,15 @@ impl<'a> WireImage<'a> {
 }
 
 impl EdgeBundle {
-    /// The model section at the requested wire precision. An int8
-    /// resident model writes its weights verbatim when `quantized`;
-    /// mixed cases convert (f32→int8 quantises, int8→f32 dequantises).
+    /// The model section at the requested wire precision (`MGQ2` when
+    /// `quantized`, else `MGNN`). Layers held at that precision are
+    /// written verbatim; the others convert one layer at a time while
+    /// they are written.
     fn model_section(&self, quantized: bool) -> Vec<u8> {
-        match (&self.model, quantized) {
-            (ResidentModel::F32(net), false) => encode_mlp(net.backbone()),
-            (ResidentModel::F32(net), true) => QuantizedMlp::quantize(net.backbone())
-                .expect("a constructed backbone has no degenerate layers")
-                .to_bytes(),
-            (ResidentModel::Int8(q), true) => q.backbone().to_bytes(),
-            (ResidentModel::Int8(q), false) => encode_mlp(
-                &q.backbone()
-                    .dequantize()
-                    .expect("a constructed quantized backbone is consistent"),
-            ),
+        if quantized {
+            encode_quantized_mlp(self.model.backbone())
+        } else {
+            encode_mlp(self.model.backbone())
         }
     }
 
@@ -215,7 +207,7 @@ impl EdgeBundle {
     /// Propagates writer I/O errors (an in-memory sink never fails).
     pub fn write_wire<W: std::io::Write>(&self, quantized: bool, out: &mut W) -> std::io::Result<()> {
         let support = serde_json::to_vec(&SupportEnvelope {
-            margin: self.model.margin(),
+            margin: self.model.margin,
             support_set: &self.support_set,
         })
         .expect("support set serialisation cannot fail");
@@ -263,14 +255,12 @@ impl EdgeBundle {
 
         // A quantised model section stays quantised: the int8 weights
         // become the resident model directly, with zero f32 rehydration.
-        let model = if wire.quantized() {
-            ResidentModel::Int8(QuantizedSiamese::from_parts(
-                QuantizedMlp::from_bytes(model_bytes)?,
-                envelope.margin,
-            ))
+        let backbone = if wire.quantized() {
+            decode_quantized_mlp(model_bytes)?
         } else {
-            ResidentModel::F32(SiameseNetwork::new(decode_mlp(model_bytes)?, envelope.margin))
+            decode_mlp(model_bytes)?
         };
+        let model = SiameseNetwork::new(backbone, envelope.margin);
 
         let bundle = EdgeBundle {
             pipeline,
@@ -324,10 +314,10 @@ impl EdgeBundle {
                 "lineage carries version v0; versions start at v1".into(),
             ));
         }
-        if self.model.input_dim() != self.pipeline.output_dim() {
+        let input_dim = self.model.backbone().input_dim();
+        if input_dim != self.pipeline.output_dim() {
             return Err(CoreError::InvalidBundle(format!(
-                "model expects {} features, pipeline produces {}",
-                self.model.input_dim(),
+                "model expects {input_dim} features, pipeline produces {}",
                 self.pipeline.output_dim()
             )));
         }
@@ -414,7 +404,7 @@ mod tests {
         support.set_class("run", &samples, &mut rng).unwrap();
         EdgeBundle {
             pipeline,
-            model: SiameseNetwork::new(backbone, 1.0).into(),
+            model: SiameseNetwork::new(backbone, 1.0),
             support_set: support,
             registry: LabelRegistry::from_labels(["walk", "run"]),
             lineage: Lineage::root(1),
@@ -436,7 +426,7 @@ mod tests {
         let back = EdgeBundle::from_bytes(&bytes).unwrap();
         // Weights are lossy but architecture and everything else is exact,
         // and the decoded model stays int8 — no f32 rehydration.
-        assert_eq!(back.model.precision(), crate::precision::Precision::Int8);
+        assert_eq!(back.model.precision(), crate::Precision::Int8);
         assert_eq!(back.model.dims(), b.model.dims());
         assert_eq!(back.support_set, b.support_set);
         assert_eq!(back.registry, b.registry);
@@ -503,7 +493,7 @@ mod tests {
         // Model input dim that does not match the pipeline.
         let mut b2 = tiny_bundle(6);
         let mut rng = SeededRng::new(7);
-        b2.model = SiameseNetwork::new(Mlp::new(&[40, 8], &mut rng).unwrap(), 1.0).into();
+        b2.model = SiameseNetwork::new(Mlp::new(&[40, 8], &mut rng).unwrap(), 1.0);
         assert!(b2.validate().is_err());
     }
 
@@ -520,11 +510,11 @@ mod tests {
     #[test]
     fn margin_survives_roundtrip() {
         let mut b = tiny_bundle(9);
-        b.model.set_margin(2.5);
+        b.model.margin = 2.5;
         let back = EdgeBundle::from_bytes(&b.to_bytes(false)).unwrap();
-        assert_eq!(back.model.margin(), 2.5);
+        assert_eq!(back.model.margin, 2.5);
         let back_q = EdgeBundle::from_bytes(&b.to_bytes(true)).unwrap();
-        assert_eq!(back_q.model.margin(), 2.5);
+        assert_eq!(back_q.model.margin, 2.5);
     }
 
     #[test]

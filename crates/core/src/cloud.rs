@@ -159,7 +159,7 @@ impl CloudInitializer {
         // 5. Package.
         let bundle = EdgeBundle {
             pipeline,
-            model: model.into(),
+            model,
             support_set,
             registry: registry.clone(),
             lineage: Lineage::root(1),
@@ -221,7 +221,7 @@ mod tests {
         );
         assert_eq!(bundle.support_set.num_classes(), 5);
         assert_eq!(bundle.registry.len(), 5);
-        assert_eq!(bundle.model.input_dim(), 80);
+        assert_eq!(bundle.model.backbone().input_dim(), 80);
         // The fast-demo run must actually have learned something.
         assert!(report.training.epochs_run > 0);
         assert!(report.training.final_loss().unwrap() < report.training.epoch_losses[0]);

@@ -16,7 +16,7 @@ use crate::inference::{
     infer_window, infer_windows, InferenceView, LatencyRecorder, LatencyStats, Prediction,
     SmoothedPrediction, StreamingSession,
 };
-use crate::precision::Precision;
+use crate::Precision;
 use crate::privacy::PrivacyLedger;
 use crate::recalibrate::{HealingLoop, HealingStats, SelfHealingConfig};
 use crate::version::{Lineage, ModelVersion};

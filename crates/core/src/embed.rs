@@ -10,7 +10,7 @@
 
 use crate::error::CoreError;
 use crate::ncm::{NcmDecision, NcmScratch};
-use crate::precision::ResidentModel;
+use magneto_nn::SiameseNetwork;
 use crate::Result;
 use magneto_tensor::{Matrix, Workspace};
 
@@ -47,7 +47,7 @@ impl BatchEmbedder {
     /// embedding failures are propagated.
     pub fn embed_rows(
         &mut self,
-        model: &ResidentModel,
+        model: &SiameseNetwork,
         rows: &[Vec<f32>],
         out: &mut Matrix,
     ) -> Result<()> {
@@ -62,7 +62,7 @@ impl BatchEmbedder {
     /// Shape mismatch on malformed input.
     pub fn embed_matrix(
         &mut self,
-        model: &ResidentModel,
+        model: &SiameseNetwork,
         features: &Matrix,
         out: &mut Matrix,
     ) -> Result<()> {
@@ -91,7 +91,7 @@ impl BatchEmbedder {
     ///
     /// # Errors
     /// Shape mismatch on malformed staged input.
-    pub fn embed_staged(&mut self, model: &ResidentModel, out: &mut Matrix) -> Result<()> {
+    pub fn embed_staged(&mut self, model: &SiameseNetwork, out: &mut Matrix) -> Result<()> {
         model.embed_into(&self.features, out, &mut self.ws)?;
         Ok(())
     }
@@ -130,16 +130,12 @@ pub fn stage_rows(rows: &[Vec<f32>], out: &mut Matrix) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precision::Precision;
-    use magneto_nn::{Mlp, SiameseNetwork};
-    use magneto_tensor::SeededRng;
+    use magneto_nn::Mlp;
+    use magneto_tensor::{Precision, SeededRng};
 
-    fn model() -> ResidentModel {
+    fn model() -> SiameseNetwork {
         let mut rng = SeededRng::new(7);
-        ResidentModel::from(SiameseNetwork::new(
-            Mlp::new(&[6, 12, 4], &mut rng).unwrap(),
-            1.0,
-        ))
+        SiameseNetwork::new(Mlp::new(&[6, 12, 4], &mut rng).unwrap(), 1.0)
     }
 
     #[test]

@@ -20,13 +20,12 @@ use crate::embed::BatchEmbedder;
 use crate::error::CoreError;
 use crate::label::LabelRegistry;
 use crate::ncm::NcmClassifier;
-use crate::precision::{Precision, ResidentModel};
 use crate::support_set::SupportSet;
 use crate::version::Lineage;
-use crate::Result;
+use crate::{Precision, Result};
 use magneto_dsp::PreprocessingPipeline;
 use magneto_nn::trainer::{train_siamese_masked, TrainerConfig, TrainingReport};
-use magneto_nn::QuantizedSiamese;
+use magneto_nn::SiameseNetwork;
 use magneto_tensor::vector::DistanceMetric;
 use magneto_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -240,7 +239,7 @@ pub struct UpdateReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
     /// The embedding model at its resident precision.
-    pub model: ResidentModel,
+    pub model: SiameseNetwork,
     /// Budgeted exemplar store at its resident precision.
     pub support_set: SupportSet,
     /// Class registry.
@@ -257,12 +256,11 @@ impl ModelState {
     /// # Errors
     /// Propagates embedding/classifier construction failures.
     pub fn assemble(
-        model: impl Into<ResidentModel>,
+        model: SiameseNetwork,
         support_set: SupportSet,
         registry: LabelRegistry,
         metric: DistanceMetric,
     ) -> Result<Self> {
-        let model = model.into();
         let ncm = build_ncm(&model, &support_set, metric)?;
         Ok(ModelState {
             model,
@@ -408,14 +406,11 @@ impl ModelState {
             }
         }
 
-        // Training needs f32 gradients: an int8 device rehydrates a
-        // full-precision training copy first (the only moment f32
-        // weights exist on an int8 deploy) and re-quantises on commit
-        // below.
+        // Training needs f32 gradients: an int8 device dequantises its
+        // layers in place, one at a time (the only moment f32 weights
+        // exist on an int8 deploy), and re-quantises on commit below.
         let committed_precision = self.model.precision();
-        if committed_precision == Precision::Int8 {
-            self.model = ResidentModel::F32(self.model.to_f32()?);
-        }
+        self.model.set_precision(Precision::F32)?;
 
         // Step 2 — support set update. Both modes end with `label`'s
         // exemplars drawn from the fresh recording; for NewActivity the
@@ -451,31 +446,20 @@ impl ModelState {
         // first step (skipped in the no-distillation ablation). On an
         // int8 device that is the dequantised pre-update backbone —
         // exactly the geometry the device has been serving.
-        let training = {
-            let ResidentModel::F32(net) = &mut self.model else {
-                unreachable!("training model rehydrated to f32 above")
-            };
-            train_siamese_masked(
-                net,
-                &features,
-                &labels,
-                !config.disable_distillation,
-                Some(&distill_mask),
-                &config.trainer,
-            )?
-        };
+        let training = train_siamese_masked(
+            &mut self.model,
+            &features,
+            &labels,
+            !config.disable_distillation,
+            Some(&distill_mask),
+            &config.trainer,
+        )?;
 
         // Commit: an int8 device re-quantises the trained weights
         // (Int8 → F32 → train → Int8 round trip) before prototypes are
         // rebuilt, so prototypes land in the embedding space that will
         // actually serve queries.
-        if committed_precision == Precision::Int8 {
-            let ResidentModel::F32(net) = &self.model else {
-                unreachable!("training model is f32 until commit")
-            };
-            self.model =
-                ResidentModel::Int8(QuantizedSiamese::quantize(net).map_err(CoreError::Nn)?);
-        }
+        self.model.set_precision(committed_precision)?;
 
         // Prototypes move with the embedding space.
         self.rebuild_prototypes()?;
@@ -596,7 +580,7 @@ impl ModelState {
 /// # Errors
 /// Propagates staging, embedding and classification failures.
 pub fn self_accuracy<'l>(
-    model: &ResidentModel,
+    model: &SiameseNetwork,
     ncm: &NcmClassifier,
     labels: impl IntoIterator<Item = &'l str>,
     mut stage: impl FnMut(&str, &mut Matrix) -> Result<bool>,
@@ -627,7 +611,7 @@ pub fn self_accuracy<'l>(
 /// prototypes, the rejection threshold and every query embedding in one
 /// shared space.
 fn build_ncm(
-    model: &ResidentModel,
+    model: &SiameseNetwork,
     support_set: &SupportSet,
     metric: DistanceMetric,
 ) -> Result<NcmClassifier> {
@@ -650,7 +634,7 @@ fn build_ncm(
 mod tests {
     use super::*;
     use crate::support_set::SelectionStrategy;
-    use magneto_nn::{Mlp, SiameseNetwork};
+    use magneto_nn::Mlp;
 
     /// Features for class `c`: a Gaussian blob around distinct corners.
     fn class_features(c: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {

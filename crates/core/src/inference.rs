@@ -18,11 +18,11 @@
 use crate::drift::DriftStatus;
 use crate::embed::BatchEmbedder;
 use crate::ncm::NcmClassifier;
-use crate::precision::ResidentModel;
 use crate::Result;
 use magneto_dsp::{
     segment::Segmenter, FrameGuard, GuardConfig, PreprocessingPipeline, SignalQuality,
 };
+use magneto_nn::SiameseNetwork;
 use magneto_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -230,7 +230,7 @@ impl LatencyRecorder {
 /// The per-window inference path: pipeline → embedding → NCM.
 pub(crate) fn infer_window(
     pipeline: &PreprocessingPipeline,
-    model: &ResidentModel,
+    model: &SiameseNetwork,
     ncm: &NcmClassifier,
     channels: &[Vec<f32>],
 ) -> Result<Prediction> {
@@ -259,7 +259,7 @@ pub struct InferenceView<'a> {
     /// The session's fitted pre-processing function.
     pub pipeline: &'a PreprocessingPipeline,
     /// The session's backbone at its resident precision.
-    pub model: &'a ResidentModel,
+    pub model: &'a SiameseNetwork,
     /// The session's prototype classifier.
     pub ncm: &'a NcmClassifier,
 }
@@ -291,7 +291,7 @@ pub struct BatchJob<'a> {
 /// Propagates pre-processing/classification errors; shape errors on
 /// pipelines with mismatched output dimensions.
 pub fn infer_batch(
-    model: &ResidentModel,
+    model: &SiameseNetwork,
     jobs: &[BatchJob<'_>],
     embedder: &mut BatchEmbedder,
 ) -> Result<Vec<Prediction>> {
@@ -341,7 +341,7 @@ pub fn infer_batch(
 /// — the amortised cost, which is the honest number for a batched path.
 pub(crate) fn infer_windows(
     pipeline: &PreprocessingPipeline,
-    model: &ResidentModel,
+    model: &SiameseNetwork,
     ncm: &NcmClassifier,
     windows: &[Vec<Vec<f32>>],
     embedder: &mut BatchEmbedder,
@@ -454,7 +454,7 @@ impl StreamingSession {
         &mut self,
         sample: &[f32],
         pipeline: &PreprocessingPipeline,
-        model: &ResidentModel,
+        model: &SiameseNetwork,
         ncm: &NcmClassifier,
     ) -> Result<Option<SmoothedPrediction>> {
         Ok(self
@@ -474,7 +474,7 @@ impl StreamingSession {
         &mut self,
         samples: &[S],
         pipeline: &PreprocessingPipeline,
-        model: &ResidentModel,
+        model: &SiameseNetwork,
         ncm: &NcmClassifier,
     ) -> Result<Vec<SmoothedPrediction>> {
         let mut windows = Vec::new();
@@ -551,17 +551,15 @@ impl StreamingSession {
 mod tests {
     use super::*;
     use crate::ncm::NcmClassifier;
-    use crate::precision::Precision;
     use magneto_dsp::PipelineConfig;
-    use magneto_nn::{Mlp, SiameseNetwork};
+    use magneto_nn::Mlp;
     use magneto_tensor::vector::DistanceMetric;
-    use magneto_tensor::SeededRng;
+    use magneto_tensor::{Precision, SeededRng};
 
-    fn fixture() -> (PreprocessingPipeline, ResidentModel, NcmClassifier) {
+    fn fixture() -> (PreprocessingPipeline, SiameseNetwork, NcmClassifier) {
         let pipeline = PreprocessingPipeline::new(PipelineConfig::default());
         let mut rng = SeededRng::new(1);
-        let model =
-            ResidentModel::from(SiameseNetwork::new(Mlp::new(&[80, 16, 4], &mut rng).unwrap(), 1.0));
+        let model = SiameseNetwork::new(Mlp::new(&[80, 16, 4], &mut rng).unwrap(), 1.0);
         // Prototypes straddling the embedding of a zero-ish window.
         let ncm = NcmClassifier::new(
             DistanceMetric::Euclidean,

@@ -47,7 +47,6 @@ pub mod label;
 pub mod metrics;
 pub mod ncm;
 pub(crate) mod ncm_index;
-pub mod precision;
 pub mod privacy;
 pub mod recalibrate;
 pub mod sharing;
@@ -72,13 +71,24 @@ pub use magneto_dsp::{GuardConfig, SignalQuality};
 pub use label::LabelRegistry;
 pub use metrics::ConfusionMatrix;
 pub use ncm::{NcmClassifier, NcmDecision, NcmScratch};
-pub use precision::{Precision, ResidentModel};
+pub use magneto_tensor::Precision;
 pub use privacy::PrivacyLedger;
 pub use recalibrate::{HealingLoop, HealingStats, Recalibrator, SelfHealingConfig};
 pub use sharing::ClassPack;
 pub use timeline::TimelineBuilder;
 pub use support_set::{SelectionStrategy, SupportSet};
 pub use version::{Fnv64, Lineage, ModelVersion};
+
+/// The deployed model at its resident precision: the one network type,
+/// [`magneto_nn::SiameseNetwork`], whose layers hold f32 or int8 weights.
+///
+/// Precision is a property of each layer's weights, not of a second
+/// network type, so this is a name and nothing more. It stays for the
+/// code that serves a deployed model without depending on `magneto-nn`
+/// itself: the fleet, and the benchmark harness in
+/// `crates/bench/src/bin/magneto_benchmark` (a package of its own, built
+/// against this crate's public API).
+pub type ResidentModel = magneto_nn::SiameseNetwork;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

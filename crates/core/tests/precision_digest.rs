@@ -20,7 +20,7 @@
 
 use magneto_core::{CloudConfig, CloudInitializer, EdgeConfig, EdgeDevice, Precision};
 use magneto_nn::serialize::encode_mlp;
-use magneto_nn::{Mlp, QuantizedMlp};
+use magneto_nn::Mlp;
 use magneto_sensors::{ActivityKind, GeneratorConfig, PersonProfile, SensorDataset};
 use magneto_tensor::{Backend, Exec, KernelPlan, Matrix, SeededRng, Workspace};
 
@@ -67,7 +67,7 @@ fn embedding_digests(backend: Backend, workers: usize) -> (u64, u64) {
     let mut out = Matrix::default();
     net.forward_into(&x, &mut out, &mut ws).unwrap();
     let f32_digest = matrix_digest(&out);
-    let q = QuantizedMlp::quantize(&net).unwrap();
+    let q = net.into_precision(Precision::Int8).unwrap();
     q.forward_into(&x, &mut out, &mut ws).unwrap();
     (f32_digest, matrix_digest(&out))
 }

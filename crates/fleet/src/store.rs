@@ -174,7 +174,7 @@ impl ReplayOutcome {
 /// own rows.
 pub struct SharedBase {
     pub(crate) pipeline: PreprocessingPipeline,
-    pub(crate) model: magneto_core::ResidentModel,
+    pub(crate) model: ResidentModel,
     pub(crate) registry: LabelRegistry,
     pub(crate) ncm: NcmClassifier,
     /// The bundle's model version. Deltas calibrated on this base are

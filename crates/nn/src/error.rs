@@ -19,6 +19,9 @@ pub enum NnError {
     },
     /// Model decoding failed.
     Decode(String),
+    /// Training reached a layer that holds int8 weights; gradients need
+    /// f32.
+    Int8Weights,
 }
 
 impl fmt::Display for NnError {
@@ -29,6 +32,7 @@ impl fmt::Display for NnError {
             NnError::InvalidBatch(msg) => write!(f, "invalid batch: {msg}"),
             NnError::Diverged { epoch } => write!(f, "training diverged at epoch {epoch}"),
             NnError::Decode(msg) => write!(f, "model decode error: {msg}"),
+            NnError::Int8Weights => write!(f, "training needs f32 weights; a layer holds int8"),
         }
     }
 }

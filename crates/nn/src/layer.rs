@@ -1,16 +1,25 @@
 //! Dense (fully-connected) layer with manual backprop.
+//!
+//! A layer holds its weights at either precision ([`Weights`]): f32,
+//! which trains, or int8, which runs inference directly on the
+//! i8×i8→i32 kernels. The inference step picks the GEMM from the
+//! weights, so a network loops over its layers without knowing which
+//! precision each one holds.
 
 use crate::activation::Activation;
+use crate::error::NnError;
+use crate::quantize::Weights;
 use crate::Result;
 use magneto_tensor::init::Initializer;
-use magneto_tensor::{Exec, Matrix, SeededRng, TensorError, Workspace};
+use magneto_tensor::quant::{QuantMatrix, QuantScratch};
+use magneto_tensor::{Exec, Matrix, Precision, SeededRng, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = act(x·W + b)` with `W: (in, out)`, `b: (out)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
-    /// Weight matrix, `(in_dim, out_dim)`.
-    pub weights: Matrix,
+    /// Weight matrix, `(in_dim, out_dim)`, at either precision.
+    pub weights: Weights,
     /// Bias vector, length `out_dim`.
     pub bias: Vec<f32>,
     /// Activation applied element-wise to the pre-activation.
@@ -39,7 +48,7 @@ impl DenseGrad {
     /// A zero gradient matching a layer's shapes.
     pub fn zeros_like(layer: &Dense) -> Self {
         DenseGrad {
-            dw: Matrix::zeros(layer.weights.rows(), layer.weights.cols()),
+            dw: Matrix::zeros(layer.in_dim(), layer.out_dim()),
             db: vec![0.0; layer.bias.len()],
         }
     }
@@ -80,10 +89,59 @@ impl Dense {
             _ => Initializer::XavierUniform,
         };
         Dense {
-            weights: init.init(in_dim, out_dim, rng),
+            weights: Weights::F32(init.init(in_dim, out_dim, rng)),
             bias: vec![0.0; out_dim],
             activation,
         }
+    }
+
+    /// The f32 weights — what training reads and writes.
+    ///
+    /// # Errors
+    /// [`NnError::Int8Weights`] when the layer holds int8 weights.
+    pub fn f32_weights(&self) -> Result<&Matrix> {
+        match &self.weights {
+            Weights::F32(w) => Ok(w),
+            Weights::Int8(_) => Err(NnError::Int8Weights),
+        }
+    }
+
+    /// Mutable [`f32_weights`](Self::f32_weights) (optimisers).
+    ///
+    /// # Errors
+    /// [`NnError::Int8Weights`] when the layer holds int8 weights.
+    pub fn f32_weights_mut(&mut self) -> Result<&mut Matrix> {
+        match &mut self.weights {
+            Weights::F32(w) => Ok(w),
+            Weights::Int8(_) => Err(NnError::Int8Weights),
+        }
+    }
+
+    /// Convert the weights to `precision` in place (f32 → int8
+    /// quantises, int8 → f32 dequantises); a layer already at
+    /// `precision` is left as it is, with no round trip.
+    ///
+    /// # Errors
+    /// [`NnError::Tensor`] when the weights cannot be quantised (an
+    /// inner dimension too large for the int8 accumulator).
+    pub fn set_precision(&mut self, precision: Precision) -> Result<()> {
+        self.weights = match (&self.weights, precision) {
+            (Weights::F32(w), Precision::Int8) => Weights::Int8(QuantMatrix::quantize(w)?),
+            (Weights::Int8(q), Precision::F32) => Weights::F32(q.dequantize()?),
+            _ => return Ok(()),
+        };
+        Ok(())
+    }
+
+    /// Resident parameter bytes: the weights at their precision plus the
+    /// f32 bias.
+    pub fn resident_bytes(&self) -> usize {
+        self.weights.resident_bytes() + self.bias.len() * 4
+    }
+
+    /// `true` when every float parameter is finite (divergence guard).
+    pub fn all_finite(&self) -> bool {
+        self.weights.all_finite() && self.bias.iter().all(|v| v.is_finite())
     }
 
     /// Input dimension.
@@ -96,9 +154,9 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// Number of trainable parameters.
+    /// Number of parameters (weights + bias), at either precision.
     pub fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.len()
+        self.in_dim() * self.out_dim() + self.bias.len()
     }
 
     /// Forward pass, returning output and the cache for backprop.
@@ -129,7 +187,8 @@ impl Dense {
     /// sequential path at any thread count.
     ///
     /// # Errors
-    /// Shape mismatch if `x.cols() != in_dim`.
+    /// Shape mismatch if `x.cols() != in_dim`;
+    /// [`NnError::Int8Weights`] on an int8 layer.
     pub fn forward_into_exec(
         &self,
         x: &Matrix,
@@ -137,9 +196,10 @@ impl Dense {
         out: &mut Matrix,
         exec: &Exec,
     ) -> Result<()> {
+        let weights = self.f32_weights()?;
         cache.input.copy_from(x);
         x.matmul_bias_act_into_exec(
-            &self.weights,
+            weights,
             &self.bias,
             |v| v,
             &mut cache.pre_activation,
@@ -167,19 +227,38 @@ impl Dense {
     /// # Errors
     /// Shape mismatch if `x.cols() != in_dim`.
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.infer_into_exec(x, out, &Exec::inline())
+        self.infer_into_exec(x, out, &mut QuantScratch::new(), &Exec::inline())
     }
 
     /// [`Dense::infer_into`] on an explicit compute context: matmul,
     /// bias broadcast and activation fused into one row-panel-parallel
-    /// pass over the output. Bit-identical to the sequential path at
-    /// any thread count.
+    /// pass over the output, on the f32 GEMM or — for int8 weights — on
+    /// the int8 GEMM, which quantises `x` per row into `scratch` first.
+    /// Bit-identical to the sequential path at any thread count.
     ///
     /// # Errors
     /// Shape mismatch if `x.cols() != in_dim`.
-    pub fn infer_into_exec(&self, x: &Matrix, out: &mut Matrix, exec: &Exec) -> Result<()> {
+    pub fn infer_into_exec(
+        &self,
+        x: &Matrix,
+        out: &mut Matrix,
+        scratch: &mut QuantScratch,
+        exec: &Exec,
+    ) -> Result<()> {
         let act = self.activation;
-        x.matmul_bias_act_into_exec(&self.weights, &self.bias, |v| act.apply(v), out, exec)?;
+        match &self.weights {
+            Weights::F32(w) => {
+                x.matmul_bias_act_into_exec(w, &self.bias, |v| act.apply(v), out, exec)?
+            }
+            Weights::Int8(q) => q.matmul_bias_act_into_exec(
+                x,
+                &self.bias,
+                |v| act.apply(v),
+                out,
+                scratch,
+                exec,
+            )?,
+        }
         Ok(())
     }
 
@@ -205,7 +284,8 @@ impl Dense {
     /// its `δ·Wᵀ` GEMM is skipped.
     ///
     /// # Errors
-    /// Shape mismatch between cache and upstream gradient.
+    /// Shape mismatch between cache and upstream gradient;
+    /// [`NnError::Int8Weights`] on an int8 layer.
     pub fn backward_into(
         &self,
         cache: &DenseCache,
@@ -214,6 +294,7 @@ impl Dense {
         dx: Option<&mut Matrix>,
         ws: &mut Workspace,
     ) -> Result<()> {
+        let weights = self.f32_weights()?;
         if grad_out.shape() != cache.pre_activation.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "dense_backward",
@@ -251,7 +332,7 @@ impl Dense {
                 cache
                     .input
                     .transpose_matmul_into_packed(&delta, &mut grad.dw, dx, &exec)?;
-                delta.matmul_transpose_into_exec(&self.weights, dx, &exec)?;
+                delta.matmul_transpose_into_exec(weights, dx, &exec)?;
             }
             None => {
                 let mut packed = ws.take(0, 0);
@@ -294,7 +375,7 @@ mod tests {
     #[test]
     fn identity_layer_computes_affine() {
         let mut l = layer(2, 2, Activation::Identity);
-        l.weights = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        l.weights = Weights::F32(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap());
         l.bias = vec![10.0, 20.0];
         let x = Matrix::from_row(&[1.0, 1.0]);
         let (out, _) = l.forward(&x).unwrap();
@@ -304,7 +385,7 @@ mod tests {
     #[test]
     fn relu_zeroes_negatives() {
         let mut l = layer(1, 2, Activation::Relu);
-        l.weights = Matrix::from_vec(1, 2, vec![1.0, -1.0]).unwrap();
+        l.weights = Weights::F32(Matrix::from_vec(1, 2, vec![1.0, -1.0]).unwrap());
         l.bias = vec![0.0, 0.0];
         let (out, _) = l.forward(&Matrix::from_row(&[2.0])).unwrap();
         assert_eq!(out.as_slice(), &[2.0, 0.0]);
@@ -330,12 +411,12 @@ mod tests {
             let eps = 1e-3f32;
             // Check a few weight entries.
             for &(r, c) in &[(0usize, 0usize), (1, 1), (2, 0)] {
-                let orig = l.weights.get(r, c);
-                l.weights.set(r, c, orig + eps);
+                let orig = l.f32_weights().unwrap().get(r, c);
+                l.f32_weights_mut().unwrap().set(r, c, orig + eps);
                 let up = l.infer(&x).unwrap().sum();
-                l.weights.set(r, c, orig - eps);
+                l.f32_weights_mut().unwrap().set(r, c, orig - eps);
                 let down = l.infer(&x).unwrap().sum();
-                l.weights.set(r, c, orig);
+                l.f32_weights_mut().unwrap().set(r, c, orig);
                 let numeric = (up - down) / (2.0 * eps);
                 let analytic = grads.dw.get(r, c);
                 assert!(

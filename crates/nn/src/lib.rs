@@ -13,7 +13,8 @@
 //! the whole stack by hand:
 //!
 //! * [`activation`] — ReLU family with exact derivatives;
-//! * [`layer`] — dense layers with manual backprop;
+//! * [`layer`] — dense layers with manual backprop, at either
+//!   precision;
 //! * [`network`] — the MLP backbone (any layer widths; the paper's
 //!   `80→1024→512→128→64→128` is the default);
 //! * [`loss`] — pairwise contrastive loss (Hadsell–Chopra form, which is
@@ -26,10 +27,11 @@
 //!   batches, optional distillation towards a table of teacher
 //!   embeddings;
 //! * [`trainer`] — epoch loop with loss history and divergence guards;
-//! * [`quantize`] — post-training 8-bit weight quantisation (for the
-//!   < 5 MB footprint budget) *and* the int8 forward path that runs
-//!   inference directly on the quantised weights;
-//! * [`serialize`] — compact binary model encoding for the bundle.
+//! * [`quantize`] — a layer's weights at f32 or int8 ([`Weights`]): the
+//!   post-training 8-bit quantisation behind the < 5 MB footprint
+//!   budget, run directly by the int8 GEMM;
+//! * [`serialize`] — the `MGNN` (f32) and `MGQ2` (int8) binary model
+//!   encodings for the bundle.
 
 pub mod activation;
 pub mod error;
@@ -47,7 +49,7 @@ pub use activation::Activation;
 pub use error::NnError;
 pub use network::Mlp;
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quantize::{QuantizedMlp, QuantizedSiamese};
+pub use quantize::Weights;
 pub use siamese::SiameseNetwork;
 pub use trainer::{TrainerConfig, TrainingReport};
 

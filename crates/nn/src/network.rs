@@ -3,12 +3,15 @@
 //! A stack of [`Dense`] layers with ReLU between hidden layers and a
 //! linear embedding output, mirroring the paper's
 //! `[1024×512×128×64×128]` fully-connected design on 80 input features.
+//! Each layer holds its weights at f32 or int8 ([`crate::quantize::Weights`]);
+//! one forward loop serves both, and [`Mlp::into_precision`] converts
+//! a network one layer at a time.
 
 use crate::activation::Activation;
 use crate::error::NnError;
 use crate::layer::{Dense, DenseCache, DenseGrad};
 use crate::Result;
-use magneto_tensor::{Matrix, SeededRng, Workspace};
+use magneto_tensor::{Matrix, Precision, SeededRng, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// A multi-layer perceptron.
@@ -180,12 +183,24 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutably borrow the layers (optimisers).
+    /// Mutably borrow the layers.
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
 
-    /// Total trainable parameters.
+    /// Mutably borrow the layers for training: every layer must hold f32
+    /// weights.
+    ///
+    /// # Errors
+    /// [`NnError::Int8Weights`] when any layer holds int8 weights.
+    pub fn f32_layers_mut(&mut self) -> Result<&mut [Dense]> {
+        if self.precision() == Precision::Int8 {
+            return Err(NnError::Int8Weights);
+        }
+        Ok(&mut self.layers)
+    }
+
+    /// Total parameters (weights + biases), at either precision.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Dense::param_count).sum()
     }
@@ -193,6 +208,44 @@ impl Mlp {
     /// Size of the parameters in bytes at f32 precision.
     pub fn param_bytes(&self) -> usize {
         self.param_count() * 4
+    }
+
+    /// Bytes needed to keep the parameters resident at the precision
+    /// each layer holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.layers.iter().map(Dense::resident_bytes).sum()
+    }
+
+    /// [`Precision::Int8`] when any layer holds int8 weights (the network
+    /// cannot train as it is), else [`Precision::F32`].
+    pub fn precision(&self) -> Precision {
+        if self.layers.iter().any(|l| l.weights.precision() == Precision::Int8) {
+            Precision::Int8
+        } else {
+            Precision::F32
+        }
+    }
+
+    /// Convert every layer's weights to `precision` in place, one layer
+    /// at a time, so at most one layer exists at both precisions at
+    /// once. Layers already at `precision` are left as they are.
+    ///
+    /// # Errors
+    /// As [`Dense::set_precision`]; the layers before the failing one
+    /// are converted.
+    pub fn set_precision(&mut self, precision: Precision) -> Result<()> {
+        self.layers
+            .iter_mut()
+            .try_for_each(|l| l.set_precision(precision))
+    }
+
+    /// [`set_precision`](Self::set_precision) on an owned network.
+    ///
+    /// # Errors
+    /// As [`Dense::set_precision`].
+    pub fn into_precision(mut self, precision: Precision) -> Result<Self> {
+        self.set_precision(precision)?;
+        Ok(self)
     }
 
     /// Inference forward pass (no caches).
@@ -208,15 +261,31 @@ impl Mlp {
 
     /// Inference forward pass writing the embedding batch into `out`,
     /// ping-ponging the hidden activations between two workspace buffers
-    /// so the whole pass allocates nothing once `ws` is warm.
+    /// and writing the last layer straight into `out`, so the whole pass
+    /// allocates nothing once `ws` is warm. Int8 layers quantise their
+    /// input into the workspace's quantisation scratch. Bit-identical
+    /// across pool sizes at either precision.
     ///
     /// # Errors
-    /// Shape mismatch on malformed input.
+    /// Shape mismatch on malformed input; `out` is left unspecified then.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, ws: &mut Workspace) -> Result<()> {
         let exec = ws.exec().clone();
-        forward_layers(self.layers.len(), x, out, ws, |i, src, dst, _ws| {
-            self.layers[i].infer_into_exec(src, dst, &exec)
-        })
+        let last = self.layers.len() - 1;
+        let mut a = ws.take(0, 0);
+        let mut b = ws.take(0, 0);
+        let mut result = Ok(());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let src = if i == 0 { x } else { &a };
+            let dst = if i == last { &mut *out } else { &mut b };
+            result = layer.infer_into_exec(src, dst, ws.quant_scratch(), &exec);
+            if result.is_err() {
+                break;
+            }
+            std::mem::swap(&mut a, &mut b);
+        }
+        ws.give(a);
+        ws.give(b);
+        result
     }
 
     /// Embed a single feature vector.
@@ -334,55 +403,10 @@ impl Mlp {
         result
     }
 
-    /// `true` if every weight is finite (divergence guard).
+    /// `true` if every float parameter is finite (divergence guard).
     pub fn all_finite(&self) -> bool {
-        self.layers
-            .iter()
-            .all(|l| l.weights.all_finite() && l.bias.iter().all(|v| v.is_finite()))
+        self.layers.iter().all(Dense::all_finite)
     }
-}
-
-/// The shared layer-walking skeleton every inference forward runs on:
-/// ping-pong the hidden activations between two workspace buffers and
-/// write the last layer straight into `out`. The f32 path
-/// ([`Mlp::forward_into`]) and the int8 path
-/// ([`crate::quantize::QuantizedMlp::forward_into`]) differ only in the
-/// per-layer `step` they plug in here, so precision is a property of the
-/// step, not of the loop.
-///
-/// `step(i, src, dst, ws)` must compute layer `i` from `src` into `dst`;
-/// `ws` is free for the step's own scratch (the int8 step draws its
-/// activation-quantisation buffers from it).
-///
-/// # Errors
-/// Propagates the first step error; `out` is left unspecified then.
-pub(crate) fn forward_layers<F>(
-    n_layers: usize,
-    x: &Matrix,
-    out: &mut Matrix,
-    ws: &mut Workspace,
-    mut step: F,
-) -> Result<()>
-where
-    F: FnMut(usize, &Matrix, &mut Matrix, &mut Workspace) -> Result<()>,
-{
-    debug_assert!(n_layers > 0, "layer chain validated at construction");
-    let last = n_layers - 1;
-    let mut a = ws.take(0, 0);
-    let mut b = ws.take(0, 0);
-    let mut result = Ok(());
-    for i in 0..n_layers {
-        let src = if i == 0 { x } else { &a };
-        let dst = if i == last { &mut *out } else { &mut b };
-        result = step(i, src, dst, ws);
-        if result.is_err() {
-            break;
-        }
-        std::mem::swap(&mut a, &mut b);
-    }
-    ws.give(a);
-    ws.give(b);
-    result
 }
 
 #[cfg(test)]
@@ -458,12 +482,13 @@ mod tests {
 
         let eps = 1e-3f32;
         for (li, r, c) in [(0usize, 0usize, 0usize), (0, 3, 5), (1, 2, 1)] {
-            let orig = m.layers[li].weights.get(r, c);
-            m.layers[li].weights.set(r, c, orig + eps);
+            let set = |m: &mut Mlp, v: f32| m.layers[li].f32_weights_mut().unwrap().set(r, c, v);
+            let orig = m.layers[li].f32_weights().unwrap().get(r, c);
+            set(&mut m, orig + eps);
             let up = m.forward(&x).unwrap().sum();
-            m.layers[li].weights.set(r, c, orig - eps);
+            set(&mut m, orig - eps);
             let down = m.forward(&x).unwrap().sum();
-            m.layers[li].weights.set(r, c, orig);
+            set(&mut m, orig);
             let numeric = (up - down) / (2.0 * eps);
             let analytic = grads.layers[li].dw.get(r, c);
             assert!(
@@ -535,7 +560,7 @@ mod tests {
     fn all_finite_detects_poisoned_weights() {
         let mut m = net(&[2, 2], 8);
         assert!(m.all_finite());
-        m.layers_mut()[0].weights.set(0, 0, f32::NAN);
+        m.layers_mut()[0].f32_weights_mut().unwrap().set(0, 0, f32::NAN);
         assert!(!m.all_finite());
     }
 

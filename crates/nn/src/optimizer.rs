@@ -16,7 +16,9 @@ pub trait Optimizer {
     /// it is keyed positionally, so always pass the same network.
     ///
     /// # Errors
-    /// Shape mismatch between network and gradients.
+    /// Shape mismatch between network and gradients;
+    /// [`crate::NnError::Int8Weights`], before anything changes, when a
+    /// layer holds int8 weights.
     fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<()>;
 
     /// Current learning rate.
@@ -47,19 +49,14 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<()> {
+        let layers = net.f32_layers_mut()?;
         let velocity = self.velocity.get_or_insert_with(|| {
-            net.layers()
+            layers
                 .iter()
-                .map(|l| {
-                    (
-                        Matrix::zeros(l.weights.rows(), l.weights.cols()),
-                        vec![0.0; l.bias.len()],
-                    )
-                })
+                .map(|l| (Matrix::zeros(l.in_dim(), l.out_dim()), vec![0.0; l.bias.len()]))
                 .collect()
         });
-        for ((layer, grad), (vw, vb)) in net
-            .layers_mut()
+        for ((layer, grad), (vw, vb)) in layers
             .iter_mut()
             .zip(grads.layers.iter())
             .zip(velocity.iter_mut())
@@ -67,7 +64,7 @@ impl Optimizer for Sgd {
             // v = µ·v − lr·g ; w += v
             vw.scale_inplace(self.momentum);
             vw.add_scaled_inplace(&grad.dw, -self.lr)?;
-            layer.weights.add_scaled_inplace(vw, 1.0)?;
+            layer.f32_weights_mut()?.add_scaled_inplace(vw, 1.0)?;
             for ((b, vb), g) in layer.bias.iter_mut().zip(vb.iter_mut()).zip(grad.db.iter()) {
                 *vb = self.momentum * *vb - self.lr * g;
                 *b += *vb;
@@ -125,13 +122,14 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<()> {
+        let layers = net.f32_layers_mut()?;
         self.t += 1;
         let state = self.state.get_or_insert_with(|| {
-            net.layers()
+            layers
                 .iter()
                 .map(|l| AdamLayerState {
-                    mw: Matrix::zeros(l.weights.rows(), l.weights.cols()),
-                    vw: Matrix::zeros(l.weights.rows(), l.weights.cols()),
+                    mw: Matrix::zeros(l.in_dim(), l.out_dim()),
+                    vw: Matrix::zeros(l.in_dim(), l.out_dim()),
                     mb: vec![0.0; l.bias.len()],
                     vb: vec![0.0; l.bias.len()],
                 })
@@ -141,14 +139,13 @@ impl Optimizer for Adam {
         let b2 = self.beta2;
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        for ((layer, grad), st) in net
-            .layers_mut()
+        for ((layer, grad), st) in layers
             .iter_mut()
             .zip(grads.layers.iter())
             .zip(state.iter_mut())
         {
             // Weights.
-            let w = layer.weights.as_mut_slice();
+            let w = layer.f32_weights_mut()?.as_mut_slice();
             let g = grad.dw.as_slice();
             let mw = st.mw.as_mut_slice();
             let vw = st.vw.as_mut_slice();
@@ -255,12 +252,12 @@ mod tests {
         // Adam's per-parameter step is ≈ lr regardless of gradient scale.
         let mut rng = SeededRng::new(3);
         let mut net = Mlp::new(&[2, 2], &mut rng).unwrap();
-        let before = net.layers()[0].weights.clone();
+        let before = net.layers()[0].f32_weights().unwrap().clone();
         let mut grads = Gradients::zeros_like(&net);
         grads.layers[0].dw = Matrix::filled(2, 2, 1e6); // enormous gradient
         let mut opt = Adam::new(0.01);
         opt.step(&mut net, &grads).unwrap();
-        let after = &net.layers()[0].weights;
+        let after = net.layers()[0].f32_weights().unwrap();
         for i in 0..4 {
             let delta = (after.as_slice()[i] - before.as_slice()[i]).abs();
             assert!(delta <= 0.011, "step {delta} exceeds lr bound");
@@ -274,12 +271,13 @@ mod tests {
         let mut grads = Gradients::zeros_like(&net);
         grads.layers[0].dw = Matrix::filled(1, 1, 1.0);
         let mut opt = Sgd::new(0.1, 0.9);
-        let w0 = net.layers()[0].weights.get(0, 0);
+        let w = |net: &Mlp| net.layers()[0].f32_weights().unwrap().get(0, 0);
+        let w0 = w(&net);
         opt.step(&mut net, &grads).unwrap();
-        let step1 = w0 - net.layers()[0].weights.get(0, 0);
-        let w1 = net.layers()[0].weights.get(0, 0);
+        let step1 = w0 - w(&net);
+        let w1 = w(&net);
         opt.step(&mut net, &grads).unwrap();
-        let step2 = w1 - net.layers()[0].weights.get(0, 0);
+        let step2 = w1 - w(&net);
         assert!(step2 > step1 * 1.5, "momentum should grow steps");
     }
 }

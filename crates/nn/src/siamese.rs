@@ -12,11 +12,17 @@ use crate::network::{ForwardCache, Gradients, Mlp};
 use crate::optimizer::Optimizer;
 use crate::pairs::PairSample;
 use crate::Result;
-use magneto_tensor::{Exec, Matrix, SeededRng, Workspace};
+use magneto_tensor::{Exec, Matrix, Precision, SeededRng, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// A Siamese network: a single backbone applied to both views of each
 /// pair (weight sharing is implicit — there is only one set of weights).
+///
+/// This is also the deployed model: its layers hold f32 or int8 weights
+/// ([`into_precision`](Self::into_precision)), and embedding runs at
+/// whatever precision each layer holds. Training needs f32 layers; a
+/// train step on a network with an int8 layer returns
+/// [`NnError::Int8Weights`] and changes nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiameseNetwork {
     backbone: Mlp,
@@ -119,6 +125,46 @@ impl SiameseNetwork {
     /// Consume, returning the backbone.
     pub fn into_backbone(self) -> Mlp {
         self.backbone
+    }
+
+    /// Layer widths, input first.
+    pub fn dims(&self) -> Vec<usize> {
+        self.backbone.dims()
+    }
+
+    /// The precision the backbone executes at ([`Mlp::precision`]).
+    pub fn precision(&self) -> Precision {
+        self.backbone.precision()
+    }
+
+    /// Bytes needed to keep the parameters resident at their precision.
+    pub fn resident_bytes(&self) -> usize {
+        self.backbone.resident_bytes()
+    }
+
+    /// `true` when the margin and every float parameter are finite — the
+    /// post-training weight check of the transactional update path.
+    pub fn all_finite(&self) -> bool {
+        self.margin.is_finite() && self.backbone.all_finite()
+    }
+
+    /// Convert the backbone to `precision` in place, one layer at a time
+    /// ([`Mlp::set_precision`]).
+    ///
+    /// # Errors
+    /// As [`Mlp::set_precision`].
+    pub fn set_precision(&mut self, precision: Precision) -> Result<()> {
+        self.backbone.set_precision(precision)
+    }
+
+    /// [`set_precision`](Self::set_precision) on an owned network; the
+    /// margin is kept, and same-precision conversions are the identity.
+    ///
+    /// # Errors
+    /// As [`Mlp::set_precision`].
+    pub fn into_precision(mut self, precision: Precision) -> Result<Self> {
+        self.set_precision(precision)?;
+        Ok(self)
     }
 
     /// Embed a batch of feature rows.
@@ -785,5 +831,117 @@ mod tests {
         let json = serde_json::to_string(&net).unwrap();
         let back: SiameseNetwork = serde_json::from_str(&json).unwrap();
         assert_eq!(net, back);
+    }
+
+    fn precision_net(seed: u64) -> SiameseNetwork {
+        SiameseNetwork::new(Mlp::new(&[8, 16, 4], &mut SeededRng::new(seed)).unwrap(), 1.5)
+    }
+
+    #[test]
+    fn precision_and_metadata() {
+        let f32_model = precision_net(1);
+        assert_eq!(f32_model.precision(), Precision::F32);
+        let int8 = f32_model.clone().into_precision(Precision::Int8).unwrap();
+        assert_eq!(int8.precision(), Precision::Int8);
+        assert_eq!(int8.dims(), f32_model.dims());
+        assert_eq!(int8.backbone().input_dim(), 8);
+        assert_eq!(int8.backbone().output_dim(), 4);
+        assert_eq!(int8.backbone().param_count(), f32_model.backbone().param_count());
+        assert_eq!(int8.margin, 1.5);
+        assert!(int8.all_finite() && f32_model.all_finite());
+        assert!(
+            int8.resident_bytes() < f32_model.resident_bytes() / 2,
+            "int8 {} vs f32 {}",
+            int8.resident_bytes(),
+            f32_model.resident_bytes()
+        );
+    }
+
+    #[test]
+    fn into_precision_identity_is_lossless() {
+        let model = precision_net(2);
+        let same = model.clone().into_precision(Precision::F32).unwrap();
+        assert_eq!(same, model);
+        let int8 = model.into_precision(Precision::Int8).unwrap();
+        let same8 = int8.clone().into_precision(Precision::Int8).unwrap();
+        assert_eq!(same8, int8);
+    }
+
+    #[test]
+    fn embeddings_agree_across_precisions() {
+        let model = precision_net(3);
+        let int8 = model.clone().into_precision(Precision::Int8).unwrap();
+        let x = Matrix::filled(5, 8, 0.3);
+        let ef = model.embed(&x).unwrap();
+        let eq = int8.embed(&x).unwrap();
+        assert_eq!(ef.shape(), eq.shape());
+        let rel = ef.sub(&eq).unwrap().frobenius_norm() / ef.frobenius_norm().max(1e-9);
+        assert!(rel < 0.1, "embedding drift {rel}");
+        // embed_one and embed_into agree with embed.
+        let one = int8.embed_one(x.row(0)).unwrap();
+        assert_eq!(one.as_slice(), eq.row(0));
+        let mut out = Matrix::default();
+        let mut ws = Workspace::new();
+        int8.embed_into(&x, &mut out, &mut ws).unwrap();
+        assert_eq!(out, eq);
+    }
+
+    #[test]
+    fn margin_crosses_precisions() {
+        let mut model = precision_net(4);
+        model.margin = 2.25;
+        let mut int8 = model.into_precision(Precision::Int8).unwrap();
+        assert_eq!(int8.margin, 2.25);
+        int8.margin = 0.5;
+        assert_eq!(int8.into_precision(Precision::F32).unwrap().margin, 0.5);
+    }
+
+    #[test]
+    fn int8_serde_roundtrips() {
+        let model = precision_net(16).into_precision(Precision::Int8).unwrap();
+        let json = serde_json::to_string(&model).unwrap();
+        let back: SiameseNetwork = serde_json::from_str(&json).unwrap();
+        assert_eq!(model, back);
+    }
+
+    /// Training never runs on int8 weights: a train step, and an
+    /// optimiser step, on a network with one int8 layer return
+    /// `Int8Weights` and leave every weight byte-identical — whichever
+    /// layer holds the int8 weights.
+    #[test]
+    fn int8_layers_refuse_training() {
+        let (features, labels) = blobs(6, 4, 2.0, 70);
+        for int8_layer in 0..2 {
+            let mut net = small_siamese(71);
+            net.backbone.layers_mut()[int8_layer]
+                .set_precision(Precision::Int8)
+                .unwrap();
+            let before = serde_json::to_vec(&net).unwrap();
+            let pairs = sample_pairs(&labels, 8, &mut SeededRng::new(72));
+            let mut opt = Adam::new(0.01);
+            let mut scratch = TrainScratch::new();
+            let step = net.train_step_masked_with(
+                &features,
+                &pairs,
+                &mut opt,
+                None,
+                None,
+                5.0,
+                &mut scratch,
+            );
+            assert!(matches!(step, Err(NnError::Int8Weights)), "{step:?}");
+            let grads = Gradients::zeros_like(net.backbone());
+            let mut sgd = crate::optimizer::Sgd::new(0.1, 0.9);
+            assert!(matches!(
+                sgd.step(&mut net.backbone, &grads),
+                Err(NnError::Int8Weights)
+            ));
+            assert!(matches!(
+                opt.step(&mut net.backbone, &grads),
+                Err(NnError::Int8Weights)
+            ));
+            assert_eq!(opt.steps(), 0, "a refused step is not counted");
+            assert_eq!(serde_json::to_vec(&net).unwrap(), before, "layer {int8_layer}");
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! Property-based tests for the neural-network substrate.
 
 use magneto_nn::loss::{contrastive_loss, distillation_loss, softmax_cross_entropy};
-use magneto_nn::quantize::QuantizedMlp;
-use magneto_nn::serialize::{decode_mlp, encode_mlp};
+use magneto_nn::serialize::{decode_mlp, decode_quantized_mlp, encode_mlp, encode_quantized_mlp};
 use magneto_nn::siamese::TrainScratch;
 use magneto_nn::trainer::train_siamese_masked_with;
 use magneto_nn::{Mlp, SiameseNetwork, TrainerConfig};
-use magneto_tensor::{Exec, KernelPlan, Matrix, SeededRng, Workspace};
+use magneto_tensor::{Exec, KernelPlan, Matrix, Precision, SeededRng, Workspace};
 use proptest::prelude::*;
 
 fn small_f32() -> impl Strategy<Value = f32> {
@@ -90,22 +89,18 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let net = Mlp::new(&dims, &mut SeededRng::new(seed)).unwrap();
-        let q = QuantizedMlp::quantize(&net).unwrap();
-        let back = q.dequantize().unwrap();
+        let q = net.clone().into_precision(Precision::Int8).unwrap();
+        let back = q.clone().into_precision(Precision::F32).unwrap();
         for (orig, rest) in net.layers().iter().zip(back.layers().iter()) {
-            let step = orig.weights.max_abs() / 127.0;
-            for (a, b) in orig
-                .weights
-                .as_slice()
-                .iter()
-                .zip(rest.weights.as_slice().iter())
-            {
+            let (orig, rest) = (orig.f32_weights().unwrap(), rest.f32_weights().unwrap());
+            let step = orig.max_abs() / 127.0;
+            for (a, b) in orig.as_slice().iter().zip(rest.as_slice().iter()) {
                 prop_assert!((a - b).abs() <= step * 0.5 + 1e-7);
             }
         }
         // And the binary codec round-trips the quantised form exactly.
-        let bytes = q.to_bytes();
-        prop_assert_eq!(QuantizedMlp::from_bytes(&bytes).unwrap(), q);
+        let bytes = encode_quantized_mlp(&q);
+        prop_assert_eq!(decode_quantized_mlp(&bytes).unwrap(), q);
     }
 
     /// Forward passes are finite for bounded inputs and weights.

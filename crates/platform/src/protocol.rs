@@ -17,9 +17,9 @@ use crate::flops;
 use crate::network::NetworkLink;
 use magneto_core::ncm::NcmClassifier;
 use magneto_core::privacy::PrivacyLedger;
-use magneto_core::ResidentModel;
 use magneto_core::{CoreError, Result};
 use magneto_dsp::PreprocessingPipeline;
+use magneto_nn::SiameseNetwork;
 use magneto_tensor::SeededRng;
 use std::time::Duration;
 
@@ -61,7 +61,7 @@ pub trait HarProtocol {
 /// Works at whatever precision the model is resident at.
 struct Classifier {
     pipeline: PreprocessingPipeline,
-    model: ResidentModel,
+    model: SiameseNetwork,
     ncm: NcmClassifier,
 }
 
@@ -96,7 +96,7 @@ impl EdgeProtocol {
     /// one-time bundle download in the ledger.
     pub fn new(
         pipeline: PreprocessingPipeline,
-        model: impl Into<ResidentModel>,
+        model: SiameseNetwork,
         ncm: NcmClassifier,
         device: DeviceModel,
         energy: EnergyModel,
@@ -107,7 +107,7 @@ impl EdgeProtocol {
         EdgeProtocol {
             classifier: Classifier {
                 pipeline,
-                model: model.into(),
+                model,
                 ncm,
             },
             device,
@@ -158,7 +158,7 @@ impl CloudProtocol {
     /// and the device's energy model.
     pub fn new(
         pipeline: PreprocessingPipeline,
-        model: impl Into<ResidentModel>,
+        model: SiameseNetwork,
         ncm: NcmClassifier,
         link: NetworkLink,
         energy: EnergyModel,
@@ -167,7 +167,7 @@ impl CloudProtocol {
         CloudProtocol {
             classifier: Classifier {
                 pipeline,
-                model: model.into(),
+                model,
                 ncm,
             },
             link,
@@ -237,7 +237,7 @@ mod tests {
     use magneto_sensors::{GeneratorConfig, SensorDataset};
     use magneto_tensor::vector::DistanceMetric;
 
-    fn trained_parts() -> (PreprocessingPipeline, ResidentModel, NcmClassifier, usize) {
+    fn trained_parts() -> (PreprocessingPipeline, SiameseNetwork, NcmClassifier, usize) {
         let corpus = SensorDataset::generate(&GeneratorConfig::tiny(), 1);
         let (bundle, _) = CloudInitializer::new(CloudConfig::fast_demo())
             .pretrain(&corpus)

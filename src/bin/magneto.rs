@@ -205,7 +205,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
     );
     println!(
         "  parameters     : {} ({} KiB at stored precision)",
-        bundle.model.param_count(),
+        bundle.model.backbone().param_count(),
         bundle.model.resident_bytes() / 1024
     );
     println!(

@@ -61,9 +61,10 @@ pub mod prelude {
     pub use magneto_core::{
         BundleSizeReport, CloudConfig, CloudInitializer, ConfusionMatrix, DriftMonitor,
         DriftStatus, EdgeBundle, EdgeConfig, EdgeDevice, HealingStats, LabelRegistry,
-        NcmClassifier, Precision, PrivacyLedger, Recalibrator, ResidentModel, SelectionStrategy,
+        NcmClassifier, Precision, PrivacyLedger, Recalibrator, SelectionStrategy,
         SelfHealingConfig, SupportSet,
     };
+    pub use magneto_nn::SiameseNetwork;
     pub use magneto_fleet::{Fleet, FleetConfig, FleetReply, ModelKey, SessionId, SubmitError};
     pub use magneto_platform::{
         CloudProtocol, DeviceModel, EdgeProtocol, EnergyModel, FleetAccounting, HarProtocol,

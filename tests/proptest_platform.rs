@@ -79,10 +79,10 @@ proptest! {
         seed in 0u64..500,
     ) {
         let mut rng = SeededRng::new(seed);
-        let model = magneto::core::ResidentModel::from(magneto::nn::SiameseNetwork::new(
+        let model = magneto::nn::SiameseNetwork::new(
             magneto::nn::Mlp::new(&[10, 8, 4], &mut rng).unwrap(),
             1.0,
-        ));
+        );
         let rows: Vec<Vec<f32>> = (0..batch)
             .map(|_| (0..10).map(|_| rng.normal()).collect())
             .collect();
